@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .codec import Codebook, SourceEnsemble, build_codebook
 from .ensemble_io import EnsembleFormatError, load_ensemble
+from .linalg import complex_pairs
 from .metrics import CompressionReport, compile_report
 from .protocol import run_session, verify_lossless, write_transcript
 from .reference_example import REFERENCE_K, golden_rows, reference_ensemble
@@ -27,8 +28,17 @@ EXIT_DEGENERATE = 3
 EXIT_WRITE = 4
 
 
-def _complex_pairs(vec) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in vec]
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its "invalid ... value" message
+    return parse
 
 
 def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: CompressionReport) -> dict:
@@ -44,9 +54,9 @@ def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: Compre
             "codeDim": codebook.code_dim,
             "codeLengths": list(codebook.code_lengths),
             "baseLengths": dict(codebook.base_lengths),
-            "basis": [_complex_pairs(w) for w in codebook.basis],
-            "encoder": [_complex_pairs(row) for row in codebook.encoder],
-            "decoder": [_complex_pairs(row) for row in codebook.decoder],
+            "basis": complex_pairs(codebook.basis),
+            "encoder": complex_pairs(codebook.encoder),
+            "decoder": complex_pairs(codebook.decoder),
         },
         "sidechannel": {
             "lengthProbabilities": {str(l): p for l, p in sorted(dist.probs.items())},
@@ -194,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run a seeded transmission session and write its transcript"
     )
     simulate.add_argument("--ensemble", required=True, metavar="PATH", help="ensemble JSON file")
-    simulate.add_argument("--n", required=True, type=int, metavar="COUNT", help="messages to send")
-    simulate.add_argument("--seed", required=True, type=int, metavar="INT", help="sampling seed")
+    simulate.add_argument("--n", required=True, type=_int_at_least(1), metavar="COUNT", help="messages to send")
+    simulate.add_argument("--seed", required=True, type=_int_at_least(0), metavar="INT", help="sampling seed")
     simulate.add_argument("--out", required=True, metavar="PATH", help="transcript file to write")
     simulate.add_argument("--tol", type=float, default=1e-9, metavar="FLOAT", help="fidelity tolerance")
     simulate.set_defaults(func=_cmd_simulate)
@@ -204,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the property suites on random ensembles (or one ensemble file)"
     )
     verify.add_argument("--ensemble", metavar="PATH", help="check this ensemble instead of random ones")
-    verify.add_argument("--trials", type=int, default=100, metavar="INT", help="random ensembles to draw")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="INT", help="master seed")
+    verify.add_argument("--trials", type=_int_at_least(0), default=100, metavar="INT", help="random ensembles to draw")
+    verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, metavar="INT", help="master seed")
     verify.add_argument("--tol", type=float, default=1e-9, metavar="FLOAT", help="numeric tolerance")
     verify.set_defaults(func=_cmd_verify)
 

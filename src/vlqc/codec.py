@@ -8,7 +8,7 @@ shorter codewords; the empty codeword goes to the most probable message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,29 +74,27 @@ class SourceEnsemble:
         raise KeyError(message_id)
 
 
+def _unit_rows(ensemble: SourceEnsemble) -> np.ndarray:
+    units = np.empty((len(ensemble.messages), ensemble.ambient_dim), dtype=complex)
+    for row, msg in zip(units, ensemble.messages):
+        row[:] = msg.unit_amps()
+    return units
+
+
+def _independent(ensemble: SourceEnsemble, tol: float):
+    """The unit states (input order), select_independent's messages, and orthonormal rows spanning them."""
+    units = _unit_rows(ensemble)
+    order = sorted(range(len(units)), key=lambda i: -ensemble.messages[i].probability)
+    kept, rows = linalg.independent_rows((units[i] for i in order), tol)
+    return units, [ensemble.messages[order[i]] for i in kept], rows
+
+
 def select_independent(
     ensemble: SourceEnsemble, tol: float = linalg.DEPENDENCE_TOL
 ) -> list[SourceMessage]:
-    """Greedy maximal linearly independent subset, most probable first.
-
-    Messages are visited in order of descending probability (input order
-    breaks ties); one is kept iff it adds a new direction to the span of
-    those already kept.
-    """
-    ordered = sorted(ensemble.messages, key=lambda m: -m.probability)
-    kept: list[SourceMessage] = []
-    basis: list[np.ndarray] = []
-    for msg in ordered:
-        v = msg.unit_amps()
-        residual = v.copy()
-        for w in basis:
-            residual -= np.vdot(w, residual) * w
-        rnorm = float(np.linalg.norm(residual))
-        if rnorm <= tol:
-            continue
-        kept.append(msg)
-        basis.append(residual / rnorm)
-    return kept
+    """Greedy maximal linearly independent subset, visited most probable first
+    (input order breaks ties) and kept as by linalg.independent_rows."""
+    return _independent(ensemble, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,6 @@ class Codebook:
         return len(self.basis)
 
 
-def _min_register_length(k: int, d: int) -> int:
-    r = 0
-    while k**r < d:
-        r += 1
-    return r
-
-
 def build_codebook(
     ensemble: SourceEnsemble,
     k: int = 2,
@@ -165,27 +156,24 @@ def build_codebook(
     Base lengths record, per source message, the longest codeword component
     its encoding touches; that is what the sender must announce.
     """
-    selected = select_independent(ensemble, tol)
-    basis = linalg.gram_schmidt([m.unit_amps() for m in selected], tol)
-    d = len(basis)
-    spec = RegisterSpec(k=k, r=_min_register_length(k, d))
+    units, _, rows = _independent(ensemble, tol)
+    d = len(rows)
+    spec = RegisterSpec(k=k, r=significant_length(d - 1, k))
 
     encoder = np.zeros((spec.dim, ensemble.ambient_dim), dtype=complex)
-    for i, omega in enumerate(basis):
-        encoder[i] = omega.conj()
-    decoder = encoder.conj().T.copy()
+    np.conjugate(rows, out=encoder[:d])
     code_lengths = tuple(significant_length(i, k) for i in range(d))
 
-    base_lengths: dict[str, int] = {}
-    for msg in ensemble.messages:
-        overlaps = encoder[:d] @ msg.unit_amps()
-        supported = [code_lengths[i] for i in range(d) if abs(overlaps[i]) > amp_tol]
-        base_lengths[msg.id] = max(supported) if supported else 0
+    supported = np.abs(units @ encoder[:d].T) > amp_tol
+    del units  # free the m x ambient_dim states before the decoder is allocated
+    decoder = encoder.conj().T.copy()
+    lengths = np.where(supported, np.array(code_lengths, dtype=np.int8), 0).max(axis=1)
+    base_lengths = {msg.id: int(n) for msg, n in zip(ensemble.messages, lengths)}
 
     return Codebook(
         spec=spec,
         ambient_dim=ensemble.ambient_dim,
-        basis=tuple(basis),
+        basis=tuple(rows),
         encoder=encoder,
         decoder=decoder,
         code_lengths=code_lengths,
@@ -200,7 +188,8 @@ def encode(codebook: Codebook, x, tol: float = linalg.DEPENDENCE_TOL) -> Variabl
         raise ValueError(f"vector has dim {x.shape[0]}, expected {codebook.ambient_dim}")
     if not linalg.is_unit(x):
         raise ValueError("encode input must be a unit vector")
-    if not linalg.in_span(x, codebook.basis, tol):
+    # the decoder's first code_dim columns are the basis vectors, stacked as rows
+    if not linalg.in_span(x, codebook.decoder[:, : codebook.code_dim].T, tol):
         raise ValueError("vector lies outside the source space")
     return VariableLengthState(codebook.spec, codebook.encoder @ x)
 
@@ -221,26 +210,24 @@ def decode(
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite ensemble matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix; ``eigenvalues`` is its hermitian_eigenvalues."""
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix contains NaN or Inf")
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-10:
-            raise ValueError("matrix is not Hermitian")
+        eigs = linalg.hermitian_eigenvalues(m)
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > 1e-9:
             raise ValueError(f"trace is {trace!r}, expected 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
+        if float(eigs[-1]) < -1e-10:
             raise ValueError("matrix is not positive semidefinite")
         m = m.copy()
         m.flags.writeable = False
+        eigs.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", eigs)
 
     @property
     def dim(self) -> int:
@@ -248,13 +235,11 @@ class DensityMatrix:
 
 
 def density_matrix(ensemble: SourceEnsemble) -> DensityMatrix:
-    """sigma = sum_x p(x) |x><x| over the unit-normalized ensemble states."""
-    dim = ensemble.ambient_dim
-    sigma = np.zeros((dim, dim), dtype=complex)
-    for msg in ensemble.messages:
-        x = msg.unit_amps()
-        sigma += msg.probability * np.outer(x, x.conj())
-    return DensityMatrix(sigma)
+    """sigma = sum_x p(x) |x><x| over the unit states X, as one product (X^T p) conj(X)."""
+    units = _unit_rows(ensemble)
+    weighted = units.T * np.asarray(ensemble.probabilities())
+    np.conjugate(units, out=units)
+    return DensityMatrix(weighted @ units)
 
 
 @dataclass(frozen=True)
@@ -268,9 +253,8 @@ class CodeLengthOperator:
 
 def code_length_operator(codebook: Codebook) -> CodeLengthOperator:
     diag = np.diag(np.asarray(codebook.code_lengths, dtype=float))
-    ambient = np.zeros((codebook.ambient_dim, codebook.ambient_dim), dtype=complex)
-    for length, omega in zip(codebook.code_lengths, codebook.basis):
-        ambient += length * np.outer(omega, omega.conj())
+    basis = np.asarray(codebook.basis)
+    ambient = (basis.T * diag.diagonal()) @ basis.conj()
     diag.flags.writeable = False
     ambient.flags.writeable = False
     return CodeLengthOperator(codebook.code_lengths, diag, ambient)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,13 +48,19 @@ class EnsembleFile:
     normalize: bool
 
 
+def _is_finite_number(x) -> bool:
+    # bool is excluded by the exact type test; the magnitude test rejects NaN,
+    # infinities and integers too large for a float
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise EnsembleFormatError(f"{where}: missing key {key!r}")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise EnsembleFormatError(f"{where}.{key}: expected a number")
+        if not _is_finite_number(value):
+            raise EnsembleFormatError(f"{where}.{key}: expected a finite number")
         return float(value)
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise EnsembleFormatError(f"{where}.{key}: expected an integer")
@@ -64,16 +72,20 @@ def _require(doc: dict, key: str, kind, where: str):
 def _parse_amps(raw, ambient_dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != ambient_dim:
         raise EnsembleFormatError(f"{where}: expected {ambient_dim} [re, im] pairs")
-    amps = np.empty(ambient_dim, dtype=complex)
-    for pos, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            raise EnsembleFormatError(f"{where}[{pos}]: expected an [re, im] pair of numbers")
-        amps[pos] = complex(pair[0], pair[1])
-    return amps
+    pairs = None
+    well_formed = all(type(p) is list and len(p) == 2 for p in raw)
+    if well_formed and {type(x) for p in raw for x in p} <= {int, float}:
+        try:
+            pairs = np.array(raw, dtype=float)
+        except OverflowError:
+            pass
+    if pairs is None or not np.isfinite(pairs).all():
+        pos = next(
+            pos for pos, pair in enumerate(raw)
+            if not (type(pair) is list and len(pair) == 2 and all(map(_is_finite_number, pair)))
+        )
+        raise EnsembleFormatError(f"{where}[{pos}]: expected an [re, im] pair of finite numbers")
+    return pairs.view(complex)[:, 0]
 
 
 def parse_ensemble(text: str) -> EnsembleFile:
@@ -91,7 +103,7 @@ def parse_ensemble(text: str) -> EnsembleFile:
     ambient_dim = _require(doc, "ambientDim", int, "top level")
     if ambient_dim < 1:
         raise EnsembleFormatError("top level.ambientDim: must be >= 1")
-    normalize = bool(doc.get("normalize", True))
+    normalize = _require(doc, "normalize", bool, "top level") if "normalize" in doc else True
     raw_messages = _require(doc, "messages", list, "top level")
     if not raw_messages:
         raise EnsembleFormatError("messages: must be nonempty")
@@ -110,8 +122,12 @@ def parse_ensemble(text: str) -> EnsembleFile:
         if not p > 0.0:
             raise EnsembleFormatError(f"{where}.p: must be positive")
         amps = _parse_amps(raw.get("amps"), ambient_dim, f"{where}.amps")
-        if float(np.linalg.norm(amps)) <= linalg.ZERO_TOL:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if norm <= linalg.ZERO_TOL:
             raise EnsembleFormatError(f"{where}.amps: near-zero vector")
+        if norm == math.inf:
+            raise EnsembleFormatError(f"{where}.amps: norm overflows a float")
         if normalize:
             amps = linalg.normalize(amps)
         messages.append((msg_id, amps, p))
@@ -142,7 +158,7 @@ def ensemble_document(ensemble: SourceEnsemble, k: int, normalize: bool = True) 
             {
                 "id": m.id,
                 "p": m.probability,
-                "amps": [[float(a.real), float(a.imag)] for a in m.amps],
+                "amps": linalg.complex_pairs(m.amps),
             }
             for m in ensemble.messages
         ],
@@ -162,7 +178,7 @@ def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
             {
                 "id": m.id,
                 "p": m.probability,
-                "amps": [[float(a.real), float(a.imag)] for a in m.amps],
+                "amps": linalg.complex_pairs(m.amps),
             }
             for m in ensemble.messages
         ],

@@ -38,10 +38,6 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def norm(v) -> float:
-    return float(np.linalg.norm(as_state(v)))
-
-
 def is_unit(v, tol: float = UNIT_TOL) -> bool:
     return abs(float(np.linalg.norm(v)) - 1.0) <= tol
 
@@ -55,37 +51,55 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def gram_schmidt(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> list[np.ndarray]:
-    """In-order Gram-Schmidt orthonormalization.
-
-    The first output is the normalized first input, and each later output is
-    the normalized residual of its input against the basis built so far, so
-    signs and phases are inherited from the inputs; no extra canonicalization
-    is applied. Raises ValueError when an input's relative residual norm falls
-    to ``tol`` or below (linear dependence).
+def independent_rows(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> tuple[list[int], np.ndarray]:
+    """Rank-revealing in-order Gram-Schmidt: positions of the vectors that add a
+    new direction, and orthonormal rows spanning them. Residuals are classical
+    Gram-Schmidt with one reorthogonalization ("twice is enough", Giraud, Langou
+    & Rozložník 2005); a vector is kept iff its residual norm exceeds ``tol``
+    times its own, and its normalized residual (phase inherited) is the next
+    row. Stops once the rows span the space.
     """
-    basis: list[np.ndarray] = []
+    vectors = [as_state(v) for v in vectors]
+    dim = vectors[0].shape[0] if vectors else 0
+    rows = np.empty((min(len(vectors), dim), dim), dtype=complex)
+    kept: list[int] = []
     for pos, v in enumerate(vectors):
-        v = as_state(v)
-        residual = v.astype(complex, copy=True)
-        for w in basis:
-            residual -= np.vdot(w, residual) * w
+        if len(kept) == len(rows):
+            break
+        basis, residual = rows[: len(kept)], v
+        for _ in range(2):
+            residual = residual - (basis @ residual.conj()).conj() @ basis
         rnorm = float(np.linalg.norm(residual))
-        if rnorm <= tol * float(np.linalg.norm(v)):
-            raise ValueError(
-                f"vector at position {pos} is linearly dependent on its predecessors"
-            )
-        basis.append(residual / rnorm)
-    return basis
+        if rnorm > tol * float(np.linalg.norm(v)):
+            rows[len(kept)] = residual / rnorm
+            kept.append(pos)
+    return kept, rows[: len(kept)]
+
+
+def gram_schmidt(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> list[np.ndarray]:
+    """In-order Gram-Schmidt orthonormalization: the rows of :func:`independent_rows`.
+    Raises ValueError at the first input whose relative residual norm is ``tol``
+    or below (linear dependence)."""
+    vectors = list(vectors)
+    kept, rows = independent_rows(vectors, tol)
+    if len(kept) < len(vectors):
+        pos = next((p for p, q in enumerate(kept) if p != q), len(kept))
+        raise ValueError(f"vector at position {pos} is linearly dependent on its predecessors")
+    return list(rows)
 
 
 def in_span(v, basis: Sequence[np.ndarray], tol: float = DEPENDENCE_TOL) -> bool:
-    """Whether v lies in the span of an orthonormal basis, up to relative tol."""
+    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to relative tol."""
     v = as_state(v)
-    residual = v.astype(complex, copy=True)
-    for w in basis:
-        residual -= np.vdot(w, v) * w
+    rows = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[0])
+    residual = v - (rows @ v.conj()).conj() @ rows
     return float(np.linalg.norm(residual)) <= tol * float(np.linalg.norm(v))
+
+
+def complex_pairs(a) -> list:
+    """Nested [re, im] pairs of a complex array: float(z.real), float(z.imag) per entry."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def hermitian_eigenvalues(m, herm_tol: float = 1e-10) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .codec import Codebook, DensityMatrix, SourceEnsemble, density_matrix
 from .message_space import dim_general_message_space
 from .sidechannel import (
@@ -45,7 +44,7 @@ def _as_density(sigma) -> DensityMatrix:
 
 def von_neumann_entropy(sigma) -> float:
     """-sum lambda log2 lambda over the eigenvalues of a density matrix, in bits."""
-    eigs = linalg.hermitian_eigenvalues(_as_density(sigma).matrix)
+    eigs = _as_density(sigma).eigenvalues
     return float(-sum(l * math.log2(l) for l in eigs if l > ENTROPY_EIG_FLOOR))
 
 

@@ -226,9 +226,7 @@ def transcript_lines(transcript: SessionTranscript) -> list[str]:
                     "messageId": record.message_id,
                     "baseLength": record.base_length,
                     "classicalBits": record.classical_bits,
-                    "payloadAmps": [
-                        [float(a.real), float(a.imag)] for a in record.payload.amps
-                    ],
+                    "payloadAmps": linalg.complex_pairs(record.payload.amps),
                     "fidelity": record.fidelity,
                 },
                 sort_keys=True,

@@ -73,6 +73,18 @@ def random_ensemble(rng, ambient_dim: int, n_messages: int) -> SourceEnsemble:
     return SourceEnsemble(messages=tuple(messages), ambient_dim=ambient_dim)
 
 
+def near_dependent_ensemble(rng, ambient_dim: int, n_messages: int, eps: float) -> SourceEnsemble:
+    """States v0 + eps * v_i clustered around one random unit v0: nearly dependent for small eps."""
+    v0 = random_unit(rng, ambient_dim)
+    probs = rng.random(n_messages) + 0.05
+    probs /= probs.sum()
+    messages = []
+    for i in range(n_messages):
+        amps = v0 + eps * (rng.normal(size=ambient_dim) + 1j * rng.normal(size=ambient_dim))
+        messages.append(SourceMessage(id=f"m{i}", amps=amps, probability=float(probs[i])))
+    return SourceEnsemble(messages=tuple(messages), ambient_dim=ambient_dim)
+
+
 def random_density(rng, dim: int) -> DensityMatrix:
     weights = rng.random(dim) + 0.05
     weights /= weights.sum()

@@ -2,9 +2,14 @@ import json
 
 import pytest
 
-from vlqc.cli import main
+import numpy as np
+
+from vlqc.cli import main, report_document
+from vlqc.codec import build_codebook
 from vlqc.ensemble_io import dump_ensemble
+from vlqc.metrics import compile_report
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
+from vlqc.verify import random_ensemble
 
 
 @pytest.fixture()
@@ -50,6 +55,38 @@ def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     assert main(["analyze", "--ensemble", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["messages"][0]["amps"][0].__setitem__(0, float("nan")),
+        lambda d: d["messages"][0].__setitem__("p", float("inf")),
+        lambda d: d.__setitem__("normalize", "false"),
+    ],
+)
+def test_analyze_bad_values_exit_2(ensemble_path, tmp_path, capsys, mutate):
+    doc = json.loads(ensemble_path.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes NaN/Infinity literals
+    assert main(["analyze", "--ensemble", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_report_document_bytes_match_per_element_conversion():
+    ensemble = random_ensemble(np.random.default_rng(5), 6, 9)
+    codebook = build_codebook(ensemble, k=3)
+    doc = report_document(ensemble, codebook, compile_report(ensemble, codebook))
+
+    def pairs(vec):
+        return [[float(a.real), float(a.imag)] for a in vec]
+
+    expected = json.loads(json.dumps(doc))
+    expected["codebook"]["basis"] = [pairs(w) for w in codebook.basis]
+    expected["codebook"]["encoder"] = [pairs(row) for row in codebook.encoder]
+    expected["codebook"]["decoder"] = [pairs(row) for row in codebook.decoder]
+    assert json.dumps(doc, indent=2, sort_keys=True) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
@@ -210,3 +247,13 @@ def test_example_writes_report(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["report"]["rateEffective"] == pytest.approx(0.95, abs=1e-12)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, seed, flag", [("0", "1", "--n"), ("10", "-1", "--seed")])
+def test_simulate_bad_counts_are_usage_errors(ensemble_path, tmp_path, capsys, n, seed, flag):
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--ensemble", str(ensemble_path), "--n", n, "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >=" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,7 +14,7 @@ from vlqc.codec import (
     encode,
     select_independent,
 )
-from vlqc.linalg import inner, normalize
+from vlqc.linalg import hermitian_eigenvalues, inner, normalize
 from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length
 from vlqc.reference_example import (
     EXPECTED_BASE_LENGTHS,
@@ -25,7 +25,8 @@ from vlqc.reference_example import (
     reference_codebook,
     reference_ensemble,
 )
-from vlqc.verify import random_ensemble, random_unit_in_span
+from vlqc.protocol import run_session
+from vlqc.verify import near_dependent_ensemble, random_ensemble, random_unit_in_span
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +276,53 @@ def test_minimal_register_sizes():
             ambient_dim=5,
         )
         assert build_codebook(ens, k=2).spec.r == expected_r
+
+
+def _loop_select_independent(ensemble, tol=1e-9):
+    """Per-vector modified Gram-Schmidt selection: the reference for the matrix-form pass."""
+    kept, basis = [], []
+    for msg in sorted(ensemble.messages, key=lambda m: -m.probability):
+        residual = msg.unit_amps()
+        for w in basis:
+            residual = residual - np.vdot(w, residual) * w
+        rnorm = np.linalg.norm(residual)
+        if rnorm > tol:
+            kept.append(msg.id)
+            basis.append(residual / rnorm)
+    return kept, np.array(basis)
+
+
+def test_matrix_core_matches_per_vector_loops():
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        ambient = int(rng.integers(2, 9))
+        ens = random_ensemble(rng, ambient, int(rng.integers(1, 2 * ambient)))
+        cb = build_codebook(ens, k=int(rng.choice([2, 3])))
+        kept, basis = _loop_select_independent(ens)
+        assert [m.id for m in select_independent(ens)] == kept
+        np.testing.assert_allclose(np.array(cb.basis), basis, atol=1e-12)
+        d = cb.code_dim
+        for msg in ens.messages:
+            overlaps = cb.encoder[:d] @ msg.unit_amps()
+            supported = [cb.code_lengths[i] for i in range(d) if abs(overlaps[i]) > 1e-12]
+            assert cb.base_lengths[msg.id] == (max(supported) if supported else 0)
+        sigma = sum(m.probability * np.outer(m.unit_amps(), m.unit_amps().conj()) for m in ens.messages)
+        np.testing.assert_allclose(density_matrix(ens).matrix, sigma, atol=1e-14)
+
+
+def test_density_matrix_keeps_its_spectrum(ensemble):
+    sigma = density_matrix(ensemble)
+    np.testing.assert_array_equal(sigma.eigenvalues, hermitian_eigenvalues(sigma.matrix))
+    assert not sigma.eigenvalues.flags.writeable
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+def test_near_dependent_ensembles_round_trip(eps):
+    # 40 states v0 + eps * v_i in dimension 40: single-pass Gram-Schmidt loses
+    # orthogonality here and the session then rejects its own messages
+    ens = near_dependent_ensemble(np.random.default_rng(7), 40, 40, eps)
+    cb = build_codebook(ens)
+    basis = np.array(cb.basis)
+    assert np.max(np.abs(basis @ basis.conj().T - np.eye(cb.code_dim))) <= 1e-12
+    transcript = run_session(ens, cb, n=200, seed=3)
+    assert min(r.fidelity for r in transcript.records) >= 1 - 1e-9

@@ -99,6 +99,39 @@ def test_hash_is_stable_and_content_sensitive():
     assert ensemble_hash(ensemble) != ensemble_hash(other)
 
 
+def test_reference_hash_is_pinned():
+    # stored transcripts carry this value in their headers
+    assert ensemble_hash(reference_ensemble()) == (
+        "4e2d74f96dad39efe4d0ce03716b2dec666a09a13a6091858457c02c05562484"
+    )
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true", '"1"'])
+def test_parse_rejects_non_finite_amplitudes(bad):
+    text = json.dumps(VALID_DOC).replace("[3, 0]", f"[3, {bad}]")
+    with pytest.raises(EnsembleFormatError, match=r"messages\[1\]\.amps\[0\]"):
+        parse_ensemble(text)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e400"])
+def test_parse_rejects_non_finite_probability(bad):
+    text = json.dumps(VALID_DOC).replace("0.25", bad)
+    with pytest.raises(EnsembleFormatError, match=r"messages\[1\]\.p: expected a finite number"):
+        parse_ensemble(text)
+
+
+def test_parse_rejects_amplitude_norm_overflow():
+    text = json.dumps(VALID_DOC).replace("[3, 0]", "[1e308, 1e308]")
+    with pytest.raises(EnsembleFormatError, match="overflow"):
+        parse_ensemble(text)
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_parse_requires_boolean_normalize(flag):
+    with pytest.raises(EnsembleFormatError, match="normalize"):
+        parse_ensemble(json.dumps(dict(VALID_DOC, normalize=flag)))
+
+
 def test_canonical_bytes_deterministic():
     ensemble = reference_ensemble()
     assert canonical_ensemble_bytes(ensemble) == canonical_ensemble_bytes(reference_ensemble())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqc.linalg import (
+    complex_pairs,
     gram_schmidt,
     hermitian_eigenvalues,
     in_span,
@@ -135,6 +136,42 @@ def test_in_span_dependent_combination():
 def test_in_span_outside_vector():
     basis = gram_schmidt([normalize(A), normalize(B)])
     assert not in_span(E, basis)
+
+
+def test_gram_schmidt_reports_first_dependent_position():
+    with pytest.raises(ValueError, match="position 1"):
+        gram_schmidt([A, 2 * A, B, 3 * B])
+
+
+def test_in_span_accepts_stacked_rows():
+    basis = gram_schmidt([normalize(A), normalize(B)])
+    assert in_span(C, np.array(basis))
+    assert not in_span(E, np.array(basis))
+    assert not in_span(E, [])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [complex(-0.0, 0.0), complex(0.0, -0.0)],
+        [complex(5e-324, -2.2250738585072014e-308)],
+        [complex(1.0000000000000002, -1e300)],
+        [[1 + 2j, -3.5 - 0.1j], [1e-17 - 1j, 0.0 + 0.0j]],
+    ],
+)
+def test_complex_pairs_is_per_element_float_conversion(values):
+    a = np.array(values, dtype=complex)
+
+    def reference(v):
+        if v.ndim > 1:
+            return [reference(row) for row in v]
+        return [[float(z.real), float(z.imag)] for z in v]
+
+    got = complex_pairs(a)
+    assert got == reference(a)
+    # == treats -0.0 and 0.0 alike; repr does not
+    assert repr(got) == repr(reference(a))
+    assert complex_pairs(a.T) == reference(a.T)
 
 
 def test_in_span_own_span():
