@@ -55,6 +55,7 @@ from .metrics import (
     von_neumann_entropy,
 )
 from .protocol import (
+    MessageOutcome,
     QuantumPayload,
     SessionTranscript,
     TransmissionRecord,

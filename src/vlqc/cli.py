@@ -135,7 +135,7 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot write transcript: {exc}", file=sys.stderr)
         return EXIT_WRITE
-    n = len(transcript.records)
+    n = transcript.n
     print(f"messages        {n}")
     print(f"quantum digits  {transcript.total_qubits} ({transcript.total_qubits / n:.4f} per message)")
     print(

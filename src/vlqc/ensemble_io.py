@@ -31,8 +31,10 @@ import numpy as np
 
 from . import linalg
 from .codec import SourceEnsemble, SourceMessage
+from .message_space import DIGIT_ALPHABET
 
 PROBABILITY_FILE_TOL = 1e-6
+MAX_K = len(DIGIT_ALPHABET)  # one printable digit (0-9, A-Z) per k-ary value
 
 
 class EnsembleFormatError(ValueError):
@@ -98,8 +100,8 @@ def parse_ensemble(text: str) -> EnsembleFile:
     if not isinstance(doc, dict):
         raise EnsembleFormatError("top level: expected an object")
     k = _require(doc, "k", int, "top level")
-    if k < 2:
-        raise EnsembleFormatError("top level.k: must be >= 2")
+    if not 2 <= k <= MAX_K:
+        raise EnsembleFormatError(f"top level.k: must be >= 2 and <= {MAX_K}, got {k}")
     ambient_dim = _require(doc, "ambientDim", int, "top level")
     if ambient_dim < 1:
         raise EnsembleFormatError("top level.ambientDim: must be >= 1")

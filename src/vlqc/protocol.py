@@ -11,7 +11,8 @@ round trips are exact up to floating-point arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,19 @@ from .sidechannel import BitStream, PrefixCodeTable, build_huffman, length_distr
 FIDELITY_TOL = 1e-9
 
 
+def _read_only_state(v) -> np.ndarray:
+    """A validated complex state vector that cannot be written to.
+
+    An array that already is one is shared rather than copied, so every
+    record of a repeated message points at that message's one array.
+    """
+    arr = linalg.as_state(v)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class QuantumPayload:
     """The truncated codeword actually sent: ``length`` digits, dim k^length."""
@@ -35,17 +49,20 @@ class QuantumPayload:
     def __post_init__(self):
         if self.length < 0:
             raise ValueError("payload length must be >= 0")
-        amps = linalg.as_state(self.amps)
+        amps = _read_only_state(self.amps)
         if not linalg.is_unit(amps):
             raise ValueError("payload is not unit norm")
-        amps = amps.copy()
-        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
 
-@dataclass(frozen=True)
+def _check_fidelity(fidelity: float) -> None:
+    if not 0.0 <= fidelity <= 1.0 + 1e-12:
+        raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
+
+
+@dataclass(frozen=True, slots=True)
 class TransmissionRecord:
-    """Accounting for one message: what crossed each channel and what came back."""
+    """Accounting for one draw: what crossed each channel and what came back."""
 
     index: int
     message_id: str
@@ -59,43 +76,100 @@ class TransmissionRecord:
     def __post_init__(self):
         if self.qubits_sent != self.base_length:
             raise ValueError("digit count must equal the announced base length")
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        decoded = linalg.as_state(self.decoded)
-        decoded = decoded.copy()
-        decoded.flags.writeable = False
-        object.__setattr__(self, "decoded", decoded)
+        _check_fidelity(self.fidelity)
+        object.__setattr__(self, "decoded", _read_only_state(self.decoded))
+
+
+@dataclass(frozen=True)
+class MessageOutcome:
+    """One distinct message's transmission; every draw of that message reuses it.
+
+    The sender knows the message, so its length codeword, truncated payload
+    and the receiver's output are fixed by the message, not by the draw.
+    ``message_index`` is the message's position in the ensemble.
+    """
+
+    message_index: int
+    message_id: str
+    classical_bits: str
+    payload: QuantumPayload
+    decoded: np.ndarray
+    fidelity: float
+
+    def __post_init__(self):
+        _check_fidelity(self.fidelity)
+        object.__setattr__(self, "decoded", _read_only_state(self.decoded))
 
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """Ordered transmission records plus totals; immutable once complete."""
+    """A session as a per-message table plus the draw order; immutable.
+
+    ``outcomes`` holds one entry per distinct message drawn, in ensemble
+    order; ``picks[i]`` is the ensemble index of the message sent at step i.
+    ``records`` expands this into one :class:`TransmissionRecord` per draw.
+    """
 
     spec: RegisterSpec
     seed: int
     ensemble_hash: str
-    records: tuple[TransmissionRecord, ...]
+    outcomes: tuple[MessageOutcome, ...]
+    picks: np.ndarray
     total_qubits: int
     total_classical_bits: int
     mean_fidelity: float
+    # position in ``outcomes`` of each draw's message
+    _slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
-            raise ValueError("transcript has no records")
-        if [r.index for r in self.records] != list(range(len(self.records))):
-            raise ValueError("record indices must be 0..n-1 in send order")
-        if self.total_qubits != sum(r.qubits_sent for r in self.records):
-            raise ValueError("qubit total does not match the records")
-        if self.total_classical_bits != sum(len(r.classical_bits) for r in self.records):
-            raise ValueError("classical bit total does not match the records")
-        mean = sum(r.fidelity for r in self.records) / len(self.records)
+        outcomes = tuple(self.outcomes)
+        picks = np.array(self.picks, dtype=np.intp)
+        picks.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "picks", picks)
+        if picks.ndim != 1 or picks.size == 0:
+            raise ValueError("transcript has no draws")
+        drawn = np.array([o.message_index for o in outcomes], dtype=np.intp)
+        if drawn.size == 0 or drawn[0] < 0 or (np.diff(drawn) <= 0).any():
+            raise ValueError("outcomes must be one per message, in ensemble order")
+        slots = np.searchsorted(drawn, picks)
+        if (slots == drawn.size).any() or (drawn[slots] != picks).any():
+            raise ValueError("a draw has no outcome")
+        counts = np.bincount(slots, minlength=drawn.size)
+        if not counts.all():
+            raise ValueError("an outcome was never drawn")
+        slots.flags.writeable = False
+        object.__setattr__(self, "_slots", slots)
+        lengths = [o.payload.length for o in outcomes]
+        bits = [len(o.classical_bits) for o in outcomes]
+        if self.total_qubits != int(counts @ lengths):
+            raise ValueError("qubit total does not match the outcomes")
+        if self.total_classical_bits != int(counts @ bits):
+            raise ValueError("classical bit total does not match the outcomes")
+        mean = counts @ [o.fidelity for o in outcomes] / picks.size
         if abs(mean - self.mean_fidelity) > 1e-12:
-            raise ValueError("mean fidelity does not match the records")
+            raise ValueError("mean fidelity does not match the outcomes")
+
+    @property
+    def n(self) -> int:
+        """Number of messages sent."""
+        return self.picks.size
+
+    @cached_property
+    def records(self) -> tuple[TransmissionRecord, ...]:
+        """One record per draw, in send order, built from the table on first access."""
+        rows = [
+            (o.message_id, o.payload.length, o.classical_bits, o.payload.length, o.payload, o.decoded, o.fidelity)
+            for o in self.outcomes
+        ]
+        return tuple(
+            TransmissionRecord(index, *rows[slot]) for index, slot in enumerate(self._slots.tolist())
+        )
 
     def side_channel_stream(self) -> str:
         """The full classical bit stream of the session, in send order."""
-        return "".join(r.classical_bits for r in self.records)
+        words = [o.classical_bits for o in self.outcomes]
+        return "".join([words[slot] for slot in self._slots.tolist()])
 
 
 def alice_send(
@@ -139,99 +213,92 @@ def run_session(
 
     Sampling is inverse-CDF over the messages in input order, driven by
     numpy's seeded PCG64 generator, so a (ensemble, n, seed) triple always
-    produces the identical transcript.
+    produces the identical transcript. Send/receive is deterministic per
+    message, so each distinct message drawn is transmitted once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     table = build_huffman(length_distribution(ensemble, codebook.base_lengths))
-    cumulative = np.cumsum([m.probability for m in ensemble.messages])
+    m = len(ensemble.messages)
+    cumulative = np.cumsum([msg.probability for msg in ensemble.messages])
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the rounding edge at u ~ 1
-    rng = np.random.default_rng(seed)
+    # one batched draw gives the same numbers as n scalar rng.random() calls
+    uniforms = np.random.default_rng(seed).random(n)
+    picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), m - 1)
 
-    # send/receive is deterministic per message, so transmit each distinct
-    # message once and reuse the outcome for repeated draws
-    transmitted: dict[int, tuple[str, QuantumPayload, np.ndarray, float]] = {}
-    records = []
-    for index in range(n):
-        pick = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        pick = min(pick, len(ensemble.messages) - 1)
-        if pick not in transmitted:
-            msg = ensemble.messages[pick]
-            bits, payload = alice_send(codebook, table, msg)
-            decoded = bob_receive(codebook, table, bits, payload)
-            fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
-            transmitted[pick] = (bits, payload, decoded, fidelity)
-        bits, payload, decoded, fidelity = transmitted[pick]
-        records.append(
-            TransmissionRecord(
-                index=index,
-                message_id=ensemble.messages[pick].id,
-                base_length=payload.length,
-                classical_bits=bits,
-                qubits_sent=payload.length,
-                payload=payload,
-                decoded=decoded,
-                fidelity=fidelity,
-            )
-        )
+    counts = np.bincount(picks, minlength=m)
+    lengths = np.zeros(m, dtype=np.int64)
+    bit_counts = np.zeros(m, dtype=np.int64)
+    fidelities = np.zeros(m)
+    outcomes = []
+    for pick in np.flatnonzero(counts).tolist():
+        msg = ensemble.messages[pick]
+        bits, payload = alice_send(codebook, table, msg)
+        decoded = bob_receive(codebook, table, bits, payload)
+        fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
+        outcomes.append(MessageOutcome(pick, msg.id, bits, payload, decoded, fidelity))
+        lengths[pick], bit_counts[pick], fidelities[pick] = payload.length, len(bits), fidelity
 
     return SessionTranscript(
         spec=codebook.spec,
         seed=seed,
         ensemble_hash=ensemble_hash(ensemble),
-        records=tuple(records),
-        total_qubits=sum(r.qubits_sent for r in records),
-        total_classical_bits=sum(len(r.classical_bits) for r in records),
-        mean_fidelity=sum(r.fidelity for r in records) / len(records),
+        outcomes=tuple(outcomes),
+        picks=picks,
+        total_qubits=int(counts @ lengths),
+        total_classical_bits=int(counts @ bit_counts),
+        # summed in send order, as a per-draw loop would
+        mean_fidelity=sum(fidelities[picks].tolist()) / n,
     )
 
 
 def verify_lossless(
     transcript: SessionTranscript, ensemble: SourceEnsemble, tol: float = FIDELITY_TOL
 ) -> bool:
-    """Every decoded record reproduces its source message with fidelity >= 1 - tol."""
+    """Every decoded message reproduces its source with fidelity >= 1 - tol.
+
+    Each distinct message is checked once; the transcript guarantees that
+    every draw maps to one of these outcomes.
+    """
     by_id = {m.id: m.unit_amps() for m in ensemble.messages}
-    for record in transcript.records:
-        source = by_id.get(record.message_id)
+    for outcome in transcript.outcomes:
+        source = by_id.get(outcome.message_id)
         if source is None:
             return False
-        if abs(np.vdot(source, record.decoded)) ** 2 < 1.0 - tol:
+        if abs(np.vdot(source, outcome.decoded)) ** 2 < 1.0 - tol:
             return False
     return True
 
 
 def transcript_lines(transcript: SessionTranscript) -> list[str]:
-    """Serialized transcript: a JSON header line, then one JSON line per record.
+    """Serialized transcript: a JSON header line, then one JSON line per draw.
 
     Concatenating the records' classicalBits strings in order reproduces the
-    session's full side-channel stream bit-exactly.
+    session's full side-channel stream bit-exactly. Each record line is the
+    sorted-key JSON object of its draw; only ``index`` varies between draws
+    of one message, and it sorts between ``fidelity`` and ``messageId``, so
+    every line is one message's fixed prefix and suffix around the index.
     """
-    lines = [
-        json.dumps(
-            {
-                "k": transcript.spec.k,
-                "r": transcript.spec.r,
-                "seed": transcript.seed,
-                "n": len(transcript.records),
-                "ensembleHash": transcript.ensemble_hash,
-            },
-            sort_keys=True,
-        )
-    ]
-    for record in transcript.records:
-        lines.append(
-            json.dumps(
-                {
-                    "index": record.index,
-                    "messageId": record.message_id,
-                    "baseLength": record.base_length,
-                    "classicalBits": record.classical_bits,
-                    "payloadAmps": linalg.complex_pairs(record.payload.amps),
-                    "fidelity": record.fidelity,
-                },
-                sort_keys=True,
-            )
-        )
+    header = json.dumps(
+        {
+            "k": transcript.spec.k,
+            "r": transcript.spec.r,
+            "seed": transcript.seed,
+            "n": transcript.n,
+            "ensembleHash": transcript.ensemble_hash,
+        },
+        sort_keys=True,
+    )
+    prefixes, suffixes = [], []
+    for o in transcript.outcomes:
+        before = {"baseLength": o.payload.length, "classicalBits": o.classical_bits, "fidelity": o.fidelity}
+        after = {"messageId": o.message_id, "payloadAmps": linalg.complex_pairs(o.payload.amps)}
+        prefixes.append(json.dumps(before, sort_keys=True)[:-1] + ', "index": ')
+        suffixes.append(", " + json.dumps(after, sort_keys=True)[1:])
+    lines = [header]
+    lines.extend(
+        [prefixes[slot] + str(index) + suffixes[slot] for index, slot in enumerate(transcript._slots.tolist())]
+    )
     return lines
 
 

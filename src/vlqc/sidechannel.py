@@ -146,18 +146,28 @@ def _check_bits(bits: str) -> None:
 class BitStream:
     """Append-only bit sequence with a monotone read cursor.
 
-    Bits are the characters '0'/'1'. Decoding is stateful; a stream being
-    decoded belongs to a single owner.
+    Bits are the characters '0'/'1'. Appended chunks are buffered and joined
+    once, when the bits are next read, so n appends cost O(total length).
+    Decoding is stateful; a stream being decoded belongs to a single owner.
     """
 
     def __init__(self, bits: str = ""):
         _check_bits(bits)
         self._bits = bits
+        self._pending: list[str] = []
+        self._length = len(bits)
         self._cursor = 0
+
+    def _joined(self) -> str:
+        if self._pending:
+            self._pending.insert(0, self._bits)
+            self._bits = "".join(self._pending)
+            self._pending = []
+        return self._bits
 
     @property
     def bits(self) -> str:
-        return self._bits
+        return self._joined()
 
     @property
     def cursor(self) -> int:
@@ -165,22 +175,24 @@ class BitStream:
 
     @property
     def remaining(self) -> int:
-        return len(self._bits) - self._cursor
+        return self._length - self._cursor
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._length
 
     def append(self, bits: str) -> None:
         _check_bits(bits)
-        self._bits += bits
+        self._pending.append(bits)
+        self._length += len(bits)
 
     def read_symbol(self, table: PrefixCodeTable) -> int:
         """Greedy prefix decode of one codeword starting at the cursor."""
+        bits = self._joined()
         word = ""
         while True:
-            if self._cursor >= len(self._bits):
+            if self._cursor >= len(bits):
                 raise ValueError("bit stream exhausted in the middle of a codeword")
-            word += self._bits[self._cursor]
+            word += bits[self._cursor]
             self._cursor += 1
             symbol = table.decode_map.get(word)
             if symbol is not None:

@@ -35,6 +35,7 @@ from .sidechannel import (
     expected_code_length,
     is_prefix_free,
     kraft_sum,
+    length_distribution,
     shannon_entropy,
 )
 
@@ -177,13 +178,22 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
 
 
 def check_session(ensemble: SourceEnsemble, codebook: Codebook, n: int, seed: int, tol: float):
+    """Losslessness, plus accounting recomputed from the codebook and the draws alone.
+
+    The expected per-draw base lengths come from ``codebook.base_lengths``
+    and the ensemble indices in ``picks``, not from the transcript's own
+    outcomes; the side-channel stream must decode to exactly that sequence.
+    """
     transcript = run_session(ensemble, codebook, n=n, seed=seed)
     if not verify_lossless(transcript, ensemble, tol=tol):
         return False, f"lossy record in session with seed {seed}"
-    if transcript.total_qubits != sum(r.base_length for r in transcript.records):
+    base_lengths = np.array([codebook.base_lengths[m.id] for m in ensemble.messages])
+    expected = base_lengths[transcript.picks].tolist()
+    if transcript.total_qubits != sum(expected):
         return False, "qubit accounting does not match base lengths"
-    if transcript.side_channel_stream() != "".join(r.classical_bits for r in transcript.records):
-        return False, "side-channel stream mismatch"
+    table = build_huffman(length_distribution(ensemble, codebook.base_lengths))
+    if decode_lengths(table, transcript.side_channel_stream(), transcript.n) != expected:
+        return False, "side-channel stream does not decode to the base lengths"
     return True, "ok"
 
 

@@ -63,6 +63,8 @@ def test_analyze_malformed_file_exits_2(tmp_path, capsys):
         lambda d: d["messages"][0]["amps"][0].__setitem__(0, float("nan")),
         lambda d: d["messages"][0].__setitem__("p", float("inf")),
         lambda d: d.__setitem__("normalize", "false"),
+        lambda d: d.__setitem__("k", 37),
+        lambda d: d.__setitem__("k", 40),
     ],
 )
 def test_analyze_bad_values_exit_2(ensemble_path, tmp_path, capsys, mutate):
@@ -257,3 +259,16 @@ def test_simulate_bad_counts_are_usage_errors(ensemble_path, tmp_path, capsys, n
     assert exc.value.code == 2
     assert f"argument {flag}: must be >=" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_builds_no_per_draw_records(ensemble_path, tmp_path, capsys, monkeypatch):
+    from vlqc import protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a per-draw record")
+
+    monkeypatch.setattr(protocol, "TransmissionRecord", refuse)
+    out = tmp_path / "t.jsonl"
+    assert main(["simulate", "--ensemble", str(ensemble_path), "--n", "5000", "--seed", "3", "--out", str(out)]) == 0
+    assert "messages        5000" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 5001

@@ -48,6 +48,8 @@ def test_parse_reports_json_position():
     [
         (lambda d: d.pop("k"), "missing key 'k'"),
         (lambda d: d.update(k=1), "k: must be >= 2"),
+        (lambda d: d.update(k=37), "k: must be >= 2 and <= 36, got 37"),
+        (lambda d: d.update(k=40), "k: must be >= 2 and <= 36, got 40"),
         (lambda d: d.update(ambientDim=0), "ambientDim"),
         (lambda d: d.update(messages=[]), "nonempty"),
         (lambda d: d["messages"][0].pop("p"), "missing key 'p'"),

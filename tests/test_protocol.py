@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from vlqc import verify
 from vlqc.protocol import (
     QuantumPayload,
+    SessionTranscript,
     alice_send,
     bob_receive,
     read_transcript,
@@ -225,3 +229,131 @@ def test_storage_mode_decodes_later(tmp_path, ensemble, codebook, table):
 def test_payload_requires_unit_norm():
     with pytest.raises(ValueError, match="unit"):
         QuantumPayload(1, np.array([1, 1], dtype=complex))
+
+
+# Digests of "\n".join(transcript_lines(t)) + "\n" as written by the per-draw
+# implementation that preceded the per-message table; the table must
+# reproduce those bytes and totals exactly.
+PINNED_TRANSCRIPTS = [
+    (
+        "reference",
+        10_000,
+        7,
+        "2ee00b1793a1b0b4088989c5a22e27b3592748bb55b5cc35cf2e8bd91d10feda",
+        1_467_380,
+        5081,
+        14039,
+    ),
+    (
+        "random-6x12-k3",
+        2000,
+        5,
+        "1780c6add60796ed146d287948e2f26e9c22e81f656f2ea708bd62c4358fa3b4",
+        675_237,
+        2914,
+        2801,
+    ),
+]
+
+
+def _pinned_subject(name):
+    if name == "reference":
+        return reference_ensemble(), reference_codebook()
+    ens = random_ensemble(np.random.default_rng(0), 6, 12)
+    return ens, build_codebook(ens, k=3)
+
+
+@pytest.mark.parametrize(
+    "name, n, seed, digest, size, qubits, bits", PINNED_TRANSCRIPTS, ids=[p[0] for p in PINNED_TRANSCRIPTS]
+)
+def test_transcript_bytes_are_pinned(name, n, seed, digest, size, qubits, bits):
+    ens, cb = _pinned_subject(name)
+    transcript = run_session(ens, cb, n=n, seed=seed)
+    data = ("\n".join(transcript_lines(transcript)) + "\n").encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert len(data) == size
+    assert (transcript.total_qubits, transcript.total_classical_bits) == (qubits, bits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+def test_batched_picks_equal_scalar_draws(ensemble, codebook, seed):
+    n = 300
+    cumulative = np.cumsum([m.probability for m in ensemble.messages])
+    cumulative[-1] = max(cumulative[-1], 1.0)
+    rng = np.random.default_rng(seed)
+    scalar = [
+        min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(ensemble.messages) - 1)
+        for _ in range(n)
+    ]
+    transcript = run_session(ensemble, codebook, n=n, seed=seed)
+    assert transcript.n == n
+    assert transcript.picks.tolist() == scalar
+    assert [r.message_id for r in transcript.records] == [ensemble.messages[p].id for p in scalar]
+
+
+def test_repeated_messages_share_one_read_only_array(ensemble, codebook):
+    transcript = run_session(ensemble, codebook, n=200, seed=4)
+    assert len(transcript.outcomes) < transcript.n
+    assert [o.message_index for o in transcript.outcomes] == sorted(set(transcript.picks.tolist()))
+    by_id = {}
+    for record in transcript.records:
+        first = by_id.setdefault(record.message_id, record)
+        assert record.decoded is first.decoded
+        assert record.payload is first.payload
+    assert len(by_id) == len(transcript.outcomes)
+    for outcome in transcript.outcomes:
+        assert outcome.decoded is by_id[outcome.message_id].decoded
+        assert not outcome.decoded.flags.writeable
+        assert not outcome.payload.amps.flags.writeable
+        with pytest.raises(ValueError):
+            outcome.decoded[0] = 0
+    with pytest.raises(ValueError):
+        transcript.picks[0] = 0
+
+
+def test_transcript_rejects_inconsistent_columns(ensemble, codebook):
+    transcript = run_session(ensemble, codebook, n=50, seed=6)
+    fields = {f.name: getattr(transcript, f.name) for f in dataclasses.fields(transcript) if f.init}
+    undrawn = dataclasses.replace(transcript.outcomes[-1], message_index=99)
+    with pytest.raises(ValueError, match="qubit total"):
+        SessionTranscript(**{**fields, "total_qubits": transcript.total_qubits + 1})
+    with pytest.raises(ValueError, match="no outcome"):
+        SessionTranscript(**{**fields, "picks": np.append(transcript.picks, 99)})
+    with pytest.raises(ValueError, match="never drawn"):
+        SessionTranscript(**{**fields, "outcomes": transcript.outcomes + (undrawn,)})
+    with pytest.raises(ValueError, match="ensemble order"):
+        SessionTranscript(**{**fields, "outcomes": transcript.outcomes[::-1]})
+
+
+def _swap(outcomes, attr):
+    """Outcomes whose first two entries have traded ``attr``."""
+    first, second = outcomes[0], outcomes[1]
+    return (
+        dataclasses.replace(first, **{attr: getattr(second, attr)}),
+        dataclasses.replace(second, **{attr: getattr(first, attr)}),
+    ) + outcomes[2:]
+
+
+@pytest.mark.parametrize(
+    "attr, detail", [("classical_bits", "side-channel"), ("payload", "qubit accounting")]
+)
+def test_check_session_recomputes_accounting_from_codebook(monkeypatch, ensemble, codebook, attr, detail):
+    honest = run_session(ensemble, codebook, n=100, seed=12)
+    assert verify.check_session(ensemble, codebook, n=100, seed=12, tol=1e-9) == (True, "ok")
+    outcomes = _swap(honest.outcomes, attr)
+    assert outcomes[0].payload.length != outcomes[1].payload.length
+    counts = np.bincount(honest.picks)[[o.message_index for o in outcomes]]
+    # a self-consistent transcript whose table disagrees with the codebook
+    forged = SessionTranscript(
+        spec=honest.spec,
+        seed=honest.seed,
+        ensemble_hash=honest.ensemble_hash,
+        outcomes=outcomes,
+        picks=honest.picks,
+        total_qubits=int(counts @ [o.payload.length for o in outcomes]),
+        total_classical_bits=int(counts @ [len(o.classical_bits) for o in outcomes]),
+        mean_fidelity=honest.mean_fidelity,
+    )
+    monkeypatch.setattr(verify, "run_session", lambda *args, **kwargs: forged)
+    ok, message = verify.check_session(ensemble, codebook, n=100, seed=12, tol=1e-9)
+    assert not ok and detail in message

@@ -219,6 +219,28 @@ def test_bitstream_cursor_and_append():
     assert stream.cursor == 3
 
 
+def test_bitstream_many_appends_match_encode_lengths():
+    lengths = np.random.default_rng(4).choice([0, 1, 2], size=50_000, p=[0.6, 0.3, 0.1]).tolist()
+    stream = BitStream()
+    for length in lengths:
+        stream.append(REFERENCE_TABLE.codewords[length])
+    expected = encode_lengths(REFERENCE_TABLE, lengths)
+    assert len(stream) == len(expected)
+    assert stream.bits == expected.bits
+    assert decode_lengths(REFERENCE_TABLE, stream, len(lengths)) == lengths
+
+
+def test_bitstream_appends_between_reads():
+    stream = BitStream()
+    stream.append("1")
+    assert stream.read_symbol(REFERENCE_TABLE) == 0
+    stream.append("0")
+    assert stream.remaining == 1
+    stream.append("1")
+    assert stream.read_symbol(REFERENCE_TABLE) == 1
+    assert stream.remaining == 0 and stream.bits == "101"
+
+
 def test_bitstream_rejects_other_characters():
     with pytest.raises(ValueError):
         BitStream("10x")
