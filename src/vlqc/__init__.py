@@ -69,7 +69,6 @@ from .protocol import (
     write_transcript,
 )
 from .sidechannel import (
-    BitStream,
     LengthDistribution,
     PrefixCodeTable,
     build_huffman,
@@ -79,9 +78,7 @@ from .sidechannel import (
     is_prefix_free,
     kraft_sum,
     length_distribution,
-    pack_bits,
     shannon_entropy,
-    unpack_bits,
 )
 
 __version__ = "0.1.0"

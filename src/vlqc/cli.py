@@ -41,6 +41,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float in [0, 1); NaN would make every comparison pass."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be finite, >= 0 and < 1, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
 def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: CompressionReport) -> dict:
     """The full analyze document: report, codebook summary, side-channel table."""
     dist = length_distribution(ensemble, codebook.base_lengths)
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", required=True, type=_int_at_least(1), metavar="COUNT", help="messages to send")
     simulate.add_argument("--seed", required=True, type=_int_at_least(0), metavar="INT", help="sampling seed")
     simulate.add_argument("--out", required=True, metavar="PATH", help="transcript file to write")
-    simulate.add_argument("--tol", type=float, default=1e-9, metavar="FLOAT", help="fidelity tolerance")
+    simulate.add_argument("--tol", type=_tolerance, default=1e-9, metavar="FLOAT", help="fidelity tolerance")
     simulate.set_defaults(func=_cmd_simulate)
 
     verify = sub.add_parser(
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--ensemble", metavar="PATH", help="check this ensemble instead of random ones")
     verify.add_argument("--trials", type=_int_at_least(0), default=100, metavar="INT", help="random ensembles to draw")
     verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, metavar="INT", help="master seed")
-    verify.add_argument("--tol", type=float, default=1e-9, metavar="FLOAT", help="numeric tolerance")
+    verify.add_argument("--tol", type=_tolerance, default=1e-9, metavar="FLOAT", help="numeric tolerance")
     verify.set_defaults(func=_cmd_verify)
 
     example = sub.add_parser(

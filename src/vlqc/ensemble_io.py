@@ -97,6 +97,9 @@ def parse_ensemble(text: str) -> EnsembleFile:
         raise EnsembleFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond the int-conversion digit limit, or nesting too deep
+        raise EnsembleFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise EnsembleFormatError("top level: expected an object")
     k = _require(doc, "k", int, "top level")
@@ -148,23 +151,26 @@ def parse_ensemble(text: str) -> EnsembleFile:
 
 
 def load_ensemble(path) -> EnsembleFile:
-    return parse_ensemble(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EnsembleFormatError(f"not UTF-8 text: {exc}") from None
+    return parse_ensemble(text)
 
 
-def ensemble_document(ensemble: SourceEnsemble, k: int, normalize: bool = True) -> dict:
+def _content_document(ensemble: SourceEnsemble) -> dict:
+    """The k-independent part of an ensemble file: ambient dimension and messages."""
     return {
-        "k": k,
         "ambientDim": ensemble.ambient_dim,
-        "normalize": normalize,
         "messages": [
-            {
-                "id": m.id,
-                "p": m.probability,
-                "amps": linalg.complex_pairs(m.amps),
-            }
+            {"id": m.id, "p": m.probability, "amps": linalg.complex_pairs(m.amps)}
             for m in ensemble.messages
         ],
     }
+
+
+def ensemble_document(ensemble: SourceEnsemble, k: int, normalize: bool = True) -> dict:
+    return {"k": k, "normalize": normalize, **_content_document(ensemble)}
 
 
 def dump_ensemble(ensemble: SourceEnsemble, k: int, path, normalize: bool = True) -> None:
@@ -174,17 +180,7 @@ def dump_ensemble(ensemble: SourceEnsemble, k: int, path, normalize: bool = True
 
 def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
     """Canonical byte serialization of the ensemble content (k-independent)."""
-    doc = {
-        "ambientDim": ensemble.ambient_dim,
-        "messages": [
-            {
-                "id": m.id,
-                "p": m.probability,
-                "amps": linalg.complex_pairs(m.amps),
-            }
-            for m in ensemble.messages
-        ],
-    }
+    doc = _content_document(ensemble)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 

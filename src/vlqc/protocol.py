@@ -21,9 +21,10 @@ from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode, encode
 from .ensemble_io import ensemble_hash
 from .message_space import RegisterSpec, pad, truncate
-from .sidechannel import BitStream, PrefixCodeTable, build_huffman, length_distribution
+from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
 
 FIDELITY_TOL = 1e-9
+_CHUNK_LINES = 1 << 14  # transcript lines per write: about 2.4 MB on the reference ensemble
 
 
 def _read_only_state(v) -> np.ndarray:
@@ -55,29 +56,17 @@ class QuantumPayload:
         object.__setattr__(self, "amps", amps)
 
 
-def _check_fidelity(fidelity: float) -> None:
-    if not 0.0 <= fidelity <= 1.0 + 1e-12:
-        raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
-
-
 @dataclass(frozen=True, slots=True)
 class TransmissionRecord:
-    """Accounting for one draw: what crossed each channel and what came back."""
+    """Accounting for one draw; ``base_length`` is also the k-ary digits sent (× log2(k) qubits)."""
 
     index: int
     message_id: str
     base_length: int
     classical_bits: str
-    qubits_sent: int  # quantum digits; multiply by log2(k) for qubit units
     payload: QuantumPayload
     decoded: np.ndarray
     fidelity: float
-
-    def __post_init__(self):
-        if self.qubits_sent != self.base_length:
-            raise ValueError("digit count must equal the announced base length")
-        _check_fidelity(self.fidelity)
-        object.__setattr__(self, "decoded", _read_only_state(self.decoded))
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,8 @@ class MessageOutcome:
     fidelity: float
 
     def __post_init__(self):
-        _check_fidelity(self.fidelity)
+        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
+            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
         object.__setattr__(self, "decoded", _read_only_state(self.decoded))
 
 
@@ -107,6 +97,7 @@ class SessionTranscript:
 
     ``outcomes`` holds one entry per distinct message drawn, in ensemble
     order; ``picks[i]`` is the ensemble index of the message sent at step i.
+    The session totals are derived from the table and the draw counts.
     ``records`` expands this into one :class:`TransmissionRecord` per draw.
     """
 
@@ -115,11 +106,9 @@ class SessionTranscript:
     ensemble_hash: str
     outcomes: tuple[MessageOutcome, ...]
     picks: np.ndarray
-    total_qubits: int
-    total_classical_bits: int
-    mean_fidelity: float
-    # position in ``outcomes`` of each draw's message
+    # position in ``outcomes`` of each draw's message, and each outcome's draw count
     _slots: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
@@ -138,28 +127,36 @@ class SessionTranscript:
         counts = np.bincount(slots, minlength=drawn.size)
         if not counts.all():
             raise ValueError("an outcome was never drawn")
-        slots.flags.writeable = False
+        slots.flags.writeable = counts.flags.writeable = False
         object.__setattr__(self, "_slots", slots)
-        lengths = [o.payload.length for o in outcomes]
-        bits = [len(o.classical_bits) for o in outcomes]
-        if self.total_qubits != int(counts @ lengths):
-            raise ValueError("qubit total does not match the outcomes")
-        if self.total_classical_bits != int(counts @ bits):
-            raise ValueError("classical bit total does not match the outcomes")
-        mean = counts @ [o.fidelity for o in outcomes] / picks.size
-        if abs(mean - self.mean_fidelity) > 1e-12:
-            raise ValueError("mean fidelity does not match the outcomes")
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def n(self) -> int:
         """Number of messages sent."""
         return self.picks.size
 
+    @property
+    def total_qubits(self) -> int:
+        """Quantum digits sent over the whole session."""
+        return int(self._counts @ [o.payload.length for o in self.outcomes])
+
+    @property
+    def total_classical_bits(self) -> int:
+        """Side-channel bits sent over the whole session."""
+        return int(self._counts @ [len(o.classical_bits) for o in self.outcomes])
+
+    @cached_property
+    def mean_fidelity(self) -> float:
+        """Fidelity summed over the draws in send order, as a per-draw loop would, over n."""
+        fidelities = np.array([o.fidelity for o in self.outcomes])
+        return sum(fidelities[self._slots].tolist()) / self.n
+
     @cached_property
     def records(self) -> tuple[TransmissionRecord, ...]:
         """One record per draw, in send order, built from the table on first access."""
         rows = [
-            (o.message_id, o.payload.length, o.classical_bits, o.payload.length, o.payload, o.decoded, o.fidelity)
+            (o.message_id, o.payload.length, o.classical_bits, o.payload, o.decoded, o.fidelity)
             for o in self.outcomes
         ]
         return tuple(
@@ -195,10 +192,7 @@ def bob_receive(
     codebook: Codebook, table: PrefixCodeTable, bits: str, payload: QuantumPayload
 ) -> np.ndarray:
     """Decode the length header, restore leading zero digits, invert the encoder."""
-    stream = BitStream(bits)
-    length = stream.read_symbol(table)
-    if stream.remaining:
-        raise ValueError("trailing bits after the length codeword")
+    [length] = decode_lengths(table, bits, 1)
     if length != payload.length:
         raise ValueError(f"header says {length} digits but payload has {payload.length}")
     if payload.amps.shape[0] != codebook.spec.k**length:
@@ -226,30 +220,14 @@ def run_session(
     uniforms = np.random.default_rng(seed).random(n)
     picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), m - 1)
 
-    counts = np.bincount(picks, minlength=m)
-    lengths = np.zeros(m, dtype=np.int64)
-    bit_counts = np.zeros(m, dtype=np.int64)
-    fidelities = np.zeros(m)
     outcomes = []
-    for pick in np.flatnonzero(counts).tolist():
+    for pick in np.flatnonzero(np.bincount(picks, minlength=m)).tolist():
         msg = ensemble.messages[pick]
         bits, payload = alice_send(codebook, table, msg)
         decoded = bob_receive(codebook, table, bits, payload)
         fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
         outcomes.append(MessageOutcome(pick, msg.id, bits, payload, decoded, fidelity))
-        lengths[pick], bit_counts[pick], fidelities[pick] = payload.length, len(bits), fidelity
-
-    return SessionTranscript(
-        spec=codebook.spec,
-        seed=seed,
-        ensemble_hash=ensemble_hash(ensemble),
-        outcomes=tuple(outcomes),
-        picks=picks,
-        total_qubits=int(counts @ lengths),
-        total_classical_bits=int(counts @ bit_counts),
-        # summed in send order, as a per-draw loop would
-        mean_fidelity=sum(fidelities[picks].tolist()) / n,
-    )
+    return SessionTranscript(codebook.spec, seed, ensemble_hash(ensemble), tuple(outcomes), picks)
 
 
 def verify_lossless(
@@ -270,40 +248,53 @@ def verify_lossless(
     return True
 
 
-def transcript_lines(transcript: SessionTranscript) -> list[str]:
-    """Serialized transcript: a JSON header line, then one JSON line per draw.
+def _line_chunks(transcript: SessionTranscript):
+    """The transcript's lines in lists of at most ``_CHUNK_LINES``: the header, then the draws.
 
-    Concatenating the records' classicalBits strings in order reproduces the
-    session's full side-channel stream bit-exactly. Each record line is the
-    sorted-key JSON object of its draw; only ``index`` varies between draws
-    of one message, and it sorts between ``fidelity`` and ``messageId``, so
-    every line is one message's fixed prefix and suffix around the index.
+    Each record line is the sorted-key JSON object of its draw; only
+    ``index`` varies between draws of one message, and it sorts between
+    ``fidelity`` and ``messageId``, so every line is one message's fixed
+    prefix and suffix around the index.
     """
-    header = json.dumps(
-        {
-            "k": transcript.spec.k,
-            "r": transcript.spec.r,
-            "seed": transcript.seed,
-            "n": transcript.n,
-            "ensembleHash": transcript.ensemble_hash,
-        },
-        sort_keys=True,
-    )
+    header = {
+        "k": transcript.spec.k,
+        "r": transcript.spec.r,
+        "seed": transcript.seed,
+        "n": transcript.n,
+        "ensembleHash": transcript.ensemble_hash,
+    }
+    yield [json.dumps(header, sort_keys=True)]
     prefixes, suffixes = [], []
     for o in transcript.outcomes:
         before = {"baseLength": o.payload.length, "classicalBits": o.classical_bits, "fidelity": o.fidelity}
         after = {"messageId": o.message_id, "payloadAmps": linalg.complex_pairs(o.payload.amps)}
         prefixes.append(json.dumps(before, sort_keys=True)[:-1] + ', "index": ')
         suffixes.append(", " + json.dumps(after, sort_keys=True)[1:])
-    lines = [header]
-    lines.extend(
-        [prefixes[slot] + str(index) + suffixes[slot] for index, slot in enumerate(transcript._slots.tolist())]
-    )
+    slots = transcript._slots
+    for start in range(0, slots.size, _CHUNK_LINES):
+        yield [
+            prefixes[slot] + str(index) + suffixes[slot]
+            for index, slot in enumerate(slots[start : start + _CHUNK_LINES].tolist(), start)
+        ]
+
+
+def transcript_lines(transcript: SessionTranscript) -> list[str]:
+    """Serialized transcript: a JSON header line, then one JSON line per draw.
+
+    Concatenating the records' classicalBits strings in order reproduces the
+    session's full side-channel stream bit-exactly.
+    """
+    lines = []
+    for chunk in _line_chunks(transcript):
+        lines += chunk
     return lines
 
 
 def write_transcript(transcript: SessionTranscript, path) -> None:
-    Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n", encoding="utf-8")
+    """Write the transcript lines, newline-terminated, one chunk of lines at a time."""
+    with open(path, "w", encoding="utf-8") as f:
+        for lines in _line_chunks(transcript):
+            f.write("\n".join(lines) + "\n")
 
 
 def read_transcript(path) -> tuple[dict, list[dict]]:

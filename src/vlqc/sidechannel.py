@@ -1,4 +1,4 @@
-"""Classical length side-channel: length statistics, Huffman coding, bitstreams.
+"""Classical length side-channel: length statistics, Huffman coding, bit strings.
 
 The quantum codewords here are deliberately not prefix-free (their lengths
 violate the classical Kraft inequality), so the receiver cannot split the
@@ -138,118 +138,39 @@ def shannon_entropy(probs: Iterable[float]) -> float:
     return total
 
 
-def _check_bits(bits: str) -> None:
-    if set(bits) - {"0", "1"}:
-        raise ValueError("bits must be a string over {'0', '1'}")
-
-
-class BitStream:
-    """Append-only bit sequence with a monotone read cursor.
-
-    Bits are the characters '0'/'1'. Appended chunks are buffered and joined
-    once, when the bits are next read, so n appends cost O(total length).
-    Decoding is stateful; a stream being decoded belongs to a single owner.
-    """
-
-    def __init__(self, bits: str = ""):
-        _check_bits(bits)
-        self._bits = bits
-        self._pending: list[str] = []
-        self._length = len(bits)
-        self._cursor = 0
-
-    def _joined(self) -> str:
-        if self._pending:
-            self._pending.insert(0, self._bits)
-            self._bits = "".join(self._pending)
-            self._pending = []
-        return self._bits
-
-    @property
-    def bits(self) -> str:
-        return self._joined()
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    @property
-    def remaining(self) -> int:
-        return self._length - self._cursor
-
-    def __len__(self) -> int:
-        return self._length
-
-    def append(self, bits: str) -> None:
-        _check_bits(bits)
-        self._pending.append(bits)
-        self._length += len(bits)
-
-    def read_symbol(self, table: PrefixCodeTable) -> int:
-        """Greedy prefix decode of one codeword starting at the cursor."""
-        bits = self._joined()
-        word = ""
-        while True:
-            if self._cursor >= len(bits):
-                raise ValueError("bit stream exhausted in the middle of a codeword")
-            word += bits[self._cursor]
-            self._cursor += 1
-            symbol = table.decode_map.get(word)
-            if symbol is not None:
-                return symbol
-            if len(word) >= table.max_word_length:
-                raise ValueError(f"bits {word!r} match no codeword")
-
-
-def encode_lengths(table: PrefixCodeTable, lengths: Iterable[int]) -> BitStream:
+def encode_lengths(table: PrefixCodeTable, lengths: Iterable[int]) -> str:
     """Concatenate the codewords for a sequence of length values."""
-    parts = []
-    for length in lengths:
-        try:
-            parts.append(table.codewords[length])
-        except KeyError:
-            raise ValueError(f"length {length} missing from the code table") from None
-    return BitStream("".join(parts))
+    try:
+        return "".join([table.codewords[length] for length in lengths])
+    except KeyError as exc:
+        raise ValueError(f"length {exc.args[0]} missing from the code table") from None
 
 
-def decode_lengths(
-    table: PrefixCodeTable,
-    stream: BitStream | str,
-    count: int,
-    require_exhausted: bool = True,
-) -> list[int]:
-    """Decode exactly ``count`` codewords left to right.
+def decode_lengths(table: PrefixCodeTable, bits: str, count: int) -> list[int]:
+    """Decode exactly ``count`` codewords from ``bits``, left to right.
 
-    With ``require_exhausted`` (the strict framing used at session close),
-    leftover bits after the last codeword are an error.
+    Framing is strict: bits ending inside a codeword, a prefix no codeword
+    matches (any character other than 0/1 is one) and bits left over after
+    the last codeword are all errors.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if isinstance(stream, str):
-        stream = BitStream(stream)
-    out = [stream.read_symbol(table) for _ in range(count)]
-    if require_exhausted and stream.remaining:
-        raise ValueError(f"{stream.remaining} unread bits remain after {count} codewords")
+    decode_map, longest, end = table.decode_map, table.max_word_length, len(bits)
+    out, pos = [], 0
+    for _ in range(count):
+        stop = pos + 1
+        symbol = decode_map.get(bits[pos:stop])
+        while symbol is None:
+            # a probe past the end ran out of bits, unless a non-bit character
+            # already rules out every codeword
+            if stop > end and not bits[pos:].strip("01"):
+                raise ValueError("bit stream exhausted in the middle of a codeword")
+            if stop - pos == longest:
+                raise ValueError(f"bits {bits[pos:stop]!r} match no codeword")
+            stop += 1
+            symbol = decode_map.get(bits[pos:stop])
+        out.append(symbol)
+        pos = stop
+    if pos < end:
+        raise ValueError(f"{end - pos} trailing bits remain unread after {count} codewords")
     return out
-
-
-def pack_bits(bits: str) -> tuple[bytes, int]:
-    """Pack bits most-significant-bit-first into bytes.
-
-    The trailing partial byte is zero-padded; the true bit length is returned
-    alongside and must be stored with the payload.
-    """
-    _check_bits(bits)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        out.append(int(bits[i : i + 8].ljust(8, "0"), 2))
-    return bytes(out), len(bits)
-
-
-def unpack_bits(data: bytes, bit_length: int) -> str:
-    if not 0 <= bit_length <= 8 * len(data):
-        raise ValueError("bit length does not fit the payload")
-    if len(data) and bit_length <= 8 * (len(data) - 1):
-        raise ValueError("payload has surplus bytes beyond the bit length")
-    bits = "".join(format(b, "08b") for b in data)
-    return bits[:bit_length]

@@ -76,6 +76,22 @@ def test_analyze_bad_values_exit_2(ensemble_path, tmp_path, capsys, mutate):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'\xff\xfe{"k": 2}',  # not UTF-8
+        b"[" * 200_000,  # nested deeper than the JSON decoder recurses
+        b'{"k": ' + b"1" * 5000 + b"}",  # integer beyond the int-conversion digit limit
+    ],
+    ids=["non-utf8", "deep-nesting", "huge-integer"],
+)
+def test_analyze_unreadable_text_exits_2(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["analyze", "--ensemble", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_report_document_bytes_match_per_element_conversion():
     ensemble = random_ensemble(np.random.default_rng(5), 6, 9)
     codebook = build_codebook(ensemble, k=3)
@@ -272,3 +288,17 @@ def test_simulate_builds_no_per_draw_records(ensemble_path, tmp_path, capsys, mo
     assert main(["simulate", "--ensemble", str(ensemble_path), "--n", "5000", "--seed", "3", "--out", str(out)]) == 0
     assert "messages        5000" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 5001
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_tolerance_is_usage_error(ensemble_path, tmp_path, capsys, command, tol):
+    out = tmp_path / "t.jsonl"
+    argv = ["--ensemble", str(ensemble_path), f"--tol={tol}"]
+    if command == "simulate":
+        argv += ["--n", "5", "--seed", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite, >= 0 and < 1" in capsys.readouterr().err
+    assert not out.exists()

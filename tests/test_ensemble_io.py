@@ -137,3 +137,21 @@ def test_parse_requires_boolean_normalize(flag):
 def test_canonical_bytes_deterministic():
     ensemble = reference_ensemble()
     assert canonical_ensemble_bytes(ensemble) == canonical_ensemble_bytes(reference_ensemble())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 200_000, "recursion"), ('{"k": ' + "1" * 5000 + "}", "digits")],
+    ids=["deep-nesting", "huge-integer"],
+)
+def test_parse_maps_decoder_failures_to_format_errors(text, message):
+    with pytest.raises(EnsembleFormatError, match=message):
+        parse_ensemble(text)
+
+
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "ensemble.json"
+    path.write_bytes(b'\xff\xfe{"k": 2}')
+    with pytest.raises(EnsembleFormatError, match="not UTF-8"):
+        load_ensemble(path)
+

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from vlqc.reference_example import reference_codebook, reference_ensemble
 from vlqc.sidechannel import (
-    BitStream,
     LengthDistribution,
     PrefixCodeTable,
     build_huffman,
@@ -17,9 +14,7 @@ from vlqc.sidechannel import (
     is_prefix_free,
     kraft_sum,
     length_distribution,
-    pack_bits,
     shannon_entropy,
-    unpack_bits,
 )
 from vlqc.verify import grid_distributions, optimal_prefix_mean_twentieths
 
@@ -104,15 +99,15 @@ def test_shannon_entropy_rejects_negative():
 
 
 def test_encode_lengths_single():
-    assert encode_lengths(REFERENCE_TABLE, [0]).bits == "1"
+    assert encode_lengths(REFERENCE_TABLE, [0]) == "1"
 
 
 def test_encode_lengths_concatenates():
-    assert encode_lengths(REFERENCE_TABLE, [0, 1, 2]).bits == "10100"
+    assert encode_lengths(REFERENCE_TABLE, [0, 1, 2]) == "10100"
 
 
 def test_encode_lengths_empty():
-    assert encode_lengths(REFERENCE_TABLE, []).bits == ""
+    assert encode_lengths(REFERENCE_TABLE, []) == ""
 
 
 def test_encode_lengths_unknown_value():
@@ -131,7 +126,6 @@ def test_decode_lengths_single():
 def test_decode_lengths_trailing_bits_strict():
     with pytest.raises(ValueError, match="unread"):
         decode_lengths(REFERENCE_TABLE, "11", 1)
-    assert decode_lengths(REFERENCE_TABLE, "11", 1, require_exhausted=False) == [0]
 
 
 def test_decode_lengths_exhausted_mid_codeword():
@@ -143,6 +137,12 @@ def test_decode_unmatchable_prefix():
     table = PrefixCodeTable({0: "00", 1: "01"})
     with pytest.raises(ValueError, match="no codeword"):
         decode_lengths(table, "10", 1)
+
+
+@pytest.mark.parametrize("bits", ["x1", "12", "1x0"])
+def test_decode_rejects_characters_other_than_bits(bits):
+    with pytest.raises(ValueError, match="no codeword"):
+        decode_lengths(REFERENCE_TABLE, bits, 2)
 
 
 @given(st.integers(0, 100_000))
@@ -207,75 +207,6 @@ def test_is_prefix_free(words, expected):
 def test_table_rejects_prefix_collision():
     with pytest.raises(ValueError, match="prefix"):
         PrefixCodeTable({0: "0", 1: "01"})
-
-
-def test_bitstream_cursor_and_append():
-    stream = BitStream("10")
-    stream.append("100")
-    assert stream.bits == "10100"
-    assert stream.read_symbol(REFERENCE_TABLE) == 0
-    assert stream.read_symbol(REFERENCE_TABLE) == 1
-    assert stream.remaining == 2
-    assert stream.cursor == 3
-
-
-def test_bitstream_many_appends_match_encode_lengths():
-    lengths = np.random.default_rng(4).choice([0, 1, 2], size=50_000, p=[0.6, 0.3, 0.1]).tolist()
-    stream = BitStream()
-    for length in lengths:
-        stream.append(REFERENCE_TABLE.codewords[length])
-    expected = encode_lengths(REFERENCE_TABLE, lengths)
-    assert len(stream) == len(expected)
-    assert stream.bits == expected.bits
-    assert decode_lengths(REFERENCE_TABLE, stream, len(lengths)) == lengths
-
-
-def test_bitstream_appends_between_reads():
-    stream = BitStream()
-    stream.append("1")
-    assert stream.read_symbol(REFERENCE_TABLE) == 0
-    stream.append("0")
-    assert stream.remaining == 1
-    stream.append("1")
-    assert stream.read_symbol(REFERENCE_TABLE) == 1
-    assert stream.remaining == 0 and stream.bits == "101"
-
-
-def test_bitstream_rejects_other_characters():
-    with pytest.raises(ValueError):
-        BitStream("10x")
-
-
-def test_pack_unpack_round_trip():
-    bits = "10100110111010011"
-    data, nbits = pack_bits(bits)
-    assert nbits == len(bits)
-    assert len(data) == math.ceil(len(bits) / 8)
-    assert unpack_bits(data, nbits) == bits
-
-
-def test_pack_is_msb_first():
-    data, nbits = pack_bits("10000001")
-    assert data == bytes([0b10000001])
-    # trailing partial byte is zero-padded on the right
-    data, nbits = pack_bits("101")
-    assert data == bytes([0b10100000]) and nbits == 3
-
-
-def test_unpack_rejects_inconsistent_length():
-    with pytest.raises(ValueError):
-        unpack_bits(b"\x00\x00", 3)
-    with pytest.raises(ValueError):
-        unpack_bits(b"\x00", 9)
-
-
-@given(st.integers(0, 100_000))
-@settings(max_examples=60, deadline=None)
-def test_pack_unpack_random(seed):
-    rng = np.random.default_rng(seed)
-    bits = "".join(str(b) for b in rng.integers(0, 2, size=int(rng.integers(0, 130))))
-    data, nbits = pack_bits(bits)
-    assert unpack_bits(data, nbits) == bits
 
 
 def test_distribution_requires_unit_sum():
