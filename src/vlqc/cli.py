@@ -16,7 +16,7 @@ from .codec import Codebook, SourceEnsemble, build_codebook
 from .ensemble_io import EnsembleFormatError, load_ensemble
 from .linalg import complex_pairs
 from .metrics import CompressionReport, compile_report
-from .protocol import run_session, verify_lossless, write_transcript
+from .protocol import check_tolerance, run_session, verify_lossless, write_transcript
 from .reference_example import REFERENCE_K, golden_rows, reference_ensemble
 from .sidechannel import build_huffman, length_distribution
 from .verify import DEFAULT_SEED, run_all
@@ -42,18 +42,24 @@ def _int_at_least(minimum: int):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type: a finite float in [0, 1); NaN would make every comparison pass."""
+    """argparse type: a tolerance that ``check_tolerance`` accepts."""
     value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be finite, >= 0 and < 1, got {text}")
-    return value
+    try:
+        return check_tolerance(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be finite, >= 0 and < 1, got {text}") from None
 
 
 _tolerance.__name__ = "float"
 
 
 def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: CompressionReport) -> dict:
-    """The full analyze document: report, codebook summary, side-channel table."""
+    """The full analyze document: report, codebook summary, side-channel table.
+
+    The codebook section carries the basis but not the encoder or decoder:
+    ``encoder = zeros((k**r, ambientDim)); encoder[:codeDim] = conj(basis)``
+    and ``decoder = encoder.conj().T`` rebuild both bit-exactly.
+    """
     dist = length_distribution(ensemble, codebook.base_lengths)
     table = build_huffman(dist)
     return {
@@ -66,8 +72,6 @@ def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: Compre
             "codeLengths": list(codebook.code_lengths),
             "baseLengths": dict(codebook.base_lengths),
             "basis": complex_pairs(codebook.basis),
-            "encoder": complex_pairs(codebook.encoder),
-            "decoder": complex_pairs(codebook.decoder),
         },
         "sidechannel": {
             "lengthProbabilities": {str(l): p for l, p in sorted(dist.probs.items())},

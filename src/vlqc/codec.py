@@ -104,7 +104,8 @@ class Codebook:
     ``encoder`` is the (k^r, ambient_dim) matrix whose row i-1 is <omega_i|;
     ``decoder`` is its conjugate transpose, the inverse on the code space.
     ``code_lengths[i-1]`` is the significant length of codeword i, i.e.
-    ceil(log_k(i)) for the 1-based basis index i.
+    ceil(log_k(i)) for the 1-based basis index i. Both matrices follow from
+    ``basis``, so the analyze report document carries only the basis.
     """
 
     spec: RegisterSpec

@@ -27,6 +27,17 @@ FIDELITY_TOL = 1e-9
 _CHUNK_LINES = 1 << 14  # transcript lines per write: about 2.4 MB on the reference ensemble
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` itself if it is finite and in [0, 1), else ``ValueError``.
+
+    A fidelity check passes when ``fidelity >= 1 - tol``; NaN would make that
+    comparison vacuous and tol >= 1 would accept any state.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tolerance must be finite, >= 0 and < 1, got {tol!r}")
+    return tol
+
+
 def _read_only_state(v) -> np.ndarray:
     """A validated complex state vector that cannot be written to.
 
@@ -238,6 +249,7 @@ def verify_lossless(
     Each distinct message is checked once; the transcript guarantees that
     every draw maps to one of these outcomes.
     """
+    check_tolerance(tol)
     by_id = {m.id: m.unit_amps() for m in ensemble.messages}
     for outcome in transcript.outcomes:
         source = by_id.get(outcome.message_id)

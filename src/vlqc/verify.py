@@ -25,7 +25,7 @@ from .codec import (
 )
 from .message_space import significant_length
 from .metrics import compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
-from .protocol import run_session, transcript_lines, verify_lossless
+from .protocol import check_tolerance, run_session, transcript_lines, verify_lossless
 from .reference_example import REFERENCE_K, reference_ensemble
 from .sidechannel import (
     LengthDistribution,
@@ -211,6 +211,7 @@ def run_all(
     k: int = 2,
 ) -> list[PropertyResult]:
     """Run every property suite and return one result per property."""
+    check_tolerance(tol)
     results: list[PropertyResult] = []
     master = np.random.SeedSequence(seed)
     child_seeds = [int(s.generate_state(1)[0]) for s in master.spawn(trials + 8)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,7 @@ import numpy as np
 
 from vlqc.cli import main, report_document
 from vlqc.codec import build_codebook
-from vlqc.ensemble_io import dump_ensemble
+from vlqc.ensemble_io import dump_ensemble, load_ensemble
 from vlqc.metrics import compile_report
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 from vlqc.verify import random_ensemble
@@ -92,9 +93,19 @@ def test_analyze_unreadable_text_exits_2(tmp_path, capsys, data):
     assert "error:" in capsys.readouterr().err
 
 
+CODEBOOK_KEYS = {"k", "r", "ambientDim", "codeDim", "codeLengths", "baseLengths", "basis"}
+# sha256 of this document as written while it still held encoder and decoder, with those two
+# keys deleted: every kept field must serialize exactly as it did then
+PINNED_DOC_SHA256 = "2151f93d0231860d0c1a511fe773ae817f455fcb6823593181b9150fca359937"
+
+
+def _document_bytes(doc):
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_report_document_bytes_match_per_element_conversion():
     ensemble = random_ensemble(np.random.default_rng(5), 6, 9)
-    codebook = build_codebook(ensemble, k=3)
+    codebook = build_codebook(ensemble, k=3)  # code_dim 6 in a 3^2 register: 3 zero rows
     doc = report_document(ensemble, codebook, compile_report(ensemble, codebook))
 
     def pairs(vec):
@@ -102,9 +113,63 @@ def test_report_document_bytes_match_per_element_conversion():
 
     expected = json.loads(json.dumps(doc))
     expected["codebook"]["basis"] = [pairs(w) for w in codebook.basis]
-    expected["codebook"]["encoder"] = [pairs(row) for row in codebook.encoder]
-    expected["codebook"]["decoder"] = [pairs(row) for row in codebook.decoder]
     assert json.dumps(doc, indent=2, sort_keys=True) == json.dumps(expected, indent=2, sort_keys=True)
+    assert set(doc["codebook"]) == CODEBOOK_KEYS
+    assert hashlib.sha256(_document_bytes(doc)).hexdigest() == PINNED_DOC_SHA256
+
+
+def _rebuild_encoder_decoder(codebook_doc):
+    basis = np.array([[complex(re, im) for re, im in row] for row in codebook_doc["basis"]])
+    encoder = np.zeros((codebook_doc["k"] ** codebook_doc["r"], codebook_doc["ambientDim"]), dtype=complex)
+    encoder[: codebook_doc["codeDim"]] = np.conj(basis)
+    return encoder, encoder.conj().T
+
+
+def _assert_bit_exact(rebuilt, expected):
+    assert rebuilt.shape == expected.shape
+    assert np.array_equal(rebuilt, expected)
+    assert np.array_equal(np.signbit(rebuilt.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(rebuilt.imag), np.signbit(expected.imag))
+
+
+def _analyze_to_file(tmp_path, source):
+    """Run ``vlqc analyze --out`` (or ``vlqc example --out``); return the in-memory
+    ensemble and codebook the command built, and the written report path."""
+    out_path = tmp_path / "report.json"
+    if source == "example":
+        ensemble = reference_ensemble()
+        codebook = build_codebook(ensemble, k=REFERENCE_K)
+        assert main(["example", "--out", str(out_path)]) == 0
+        return ensemble, codebook, out_path
+    if source == "reference":
+        ensemble, k = reference_ensemble(), REFERENCE_K
+    else:
+        ensemble, k = random_ensemble(np.random.default_rng(5), 6, 9), 3
+    ensemble_path = tmp_path / "ensemble.json"
+    dump_ensemble(ensemble, k, ensemble_path)
+    loaded = load_ensemble(ensemble_path)
+    assert main(["analyze", "--ensemble", str(ensemble_path), "--out", str(out_path)]) == 0
+    return loaded.ensemble, build_codebook(loaded.ensemble, k=loaded.k), out_path
+
+
+@pytest.mark.parametrize("source", ["reference", "padded-random", "example"])
+def test_written_report_rebuilds_encoder_and_decoder_bit_exactly(tmp_path, capsys, source):
+    _, codebook, out_path = _analyze_to_file(tmp_path, source)
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert set(doc["codebook"]) == CODEBOOK_KEYS
+    encoder, decoder = _rebuild_encoder_decoder(doc["codebook"])
+    _assert_bit_exact(encoder, codebook.encoder)
+    _assert_bit_exact(decoder, codebook.decoder)
+
+
+@pytest.mark.parametrize("source", ["reference", "padded-random", "example"])
+def test_report_file_bytes_are_the_benchmarked_serialization(tmp_path, capsys, source):
+    """The CLI writes exactly the bytes the benchmark's analyze job builds and times."""
+    ensemble, codebook, out_path = _analyze_to_file(tmp_path, source)
+    capsys.readouterr()
+    doc = report_document(ensemble, codebook, compile_report(ensemble, codebook))
+    assert out_path.read_bytes() == _document_bytes(doc)
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):

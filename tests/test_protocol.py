@@ -164,6 +164,35 @@ def test_verify_lossless_rejects_corruption(ensemble, codebook, table):
     assert abs(np.vdot(source, corrupted)) ** 2 < 1 - 1e-9
 
 
+def _forged_transcript(ensemble, codebook):
+    """A session whose first non-symmetric outcome has its decoded state reversed."""
+    transcript = run_session(ensemble, codebook, n=200, seed=4)
+    outcomes = list(transcript.outcomes)
+    for i, outcome in enumerate(outcomes):
+        source = ensemble.find(outcome.message_id).unit_amps()
+        reversed_state = outcome.decoded[::-1].copy()
+        if abs(np.vdot(source, reversed_state)) ** 2 < 0.99:
+            outcomes[i] = dataclasses.replace(outcome, decoded=reversed_state)
+            return dataclasses.replace(transcript, outcomes=tuple(outcomes))
+    raise AssertionError("every drawn message is symmetric under reversal")
+
+
+def test_default_tolerance_rejects_forged_transcript(ensemble, codebook):
+    forged = _forged_transcript(ensemble, codebook)
+    assert not verify_lossless(forged, ensemble)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 2.0])
+@pytest.mark.parametrize("check", ["verify_lossless", "run_all"])
+def test_bad_tolerance_raises(ensemble, codebook, check, tol):
+    forged = _forged_transcript(ensemble, codebook)  # a vacuous tolerance (NaN, >= 1) would pass it
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        if check == "verify_lossless":
+            verify_lossless(forged, ensemble, tol=tol)
+        else:
+            verify.run_all(trials=1, tol=tol)
+
+
 def test_transcript_file_round_trip(tmp_path, ensemble, codebook, table):
     transcript = run_session(ensemble, codebook, n=25, seed=8)
     path = tmp_path / "session.jsonl"
