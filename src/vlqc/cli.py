@@ -56,9 +56,8 @@ _tolerance.__name__ = "float"
 def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: CompressionReport) -> dict:
     """The full analyze document: report, codebook summary, side-channel table.
 
-    The codebook section carries the basis but not the encoder or decoder:
-    ``encoder = zeros((k**r, ambientDim)); encoder[:codeDim] = conj(basis)``
-    and ``decoder = encoder.conj().T`` rebuild both bit-exactly.
+    The codebook section carries the basis but not the encoder or decoder,
+    which :class:`vlqc.codec.Codebook` derives from it bit-exactly.
     """
     dist = length_distribution(ensemble, codebook.base_lengths)
     table = build_huffman(dist)

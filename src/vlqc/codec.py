@@ -81,130 +81,106 @@ def _unit_rows(ensemble: SourceEnsemble) -> np.ndarray:
     return units
 
 
-def _independent(ensemble: SourceEnsemble, tol: float):
+def _independent(ensemble: SourceEnsemble):
     """The unit states (input order), select_independent's messages, and orthonormal rows spanning them."""
     units = _unit_rows(ensemble)
     order = sorted(range(len(units)), key=lambda i: -ensemble.messages[i].probability)
-    kept, rows = linalg.independent_rows((units[i] for i in order), tol)
+    kept, rows = linalg.independent_rows(units[i] for i in order)
     return units, [ensemble.messages[order[i]] for i in kept], rows
 
 
-def select_independent(
-    ensemble: SourceEnsemble, tol: float = linalg.DEPENDENCE_TOL
-) -> list[SourceMessage]:
+def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
     """Greedy maximal linearly independent subset, visited most probable first
     (input order breaks ties) and kept as by linalg.independent_rows."""
-    return _independent(ensemble, tol)[1]
+    return _independent(ensemble)[1]
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Encoder/decoder pair onto leading-zero-padded k-ary register numerals.
+    """The code: an ordered orthonormal basis mapped onto leading-zero-padded
+    k-ary register numerals.
 
-    ``encoder`` is the (k^r, ambient_dim) matrix whose row i-1 is <omega_i|;
-    ``decoder`` is its conjugate transpose, the inverse on the code space.
-    ``code_lengths[i-1]`` is the significant length of codeword i, i.e.
-    ceil(log_k(i)) for the 1-based basis index i. Both matrices follow from
-    ``basis``, so the analyze report document carries only the basis.
+    ``basis`` (code_dim x ambient_dim) holds omega_i as row i-1 and is the one
+    stored form of the code. Everything else follows from it: ``encoder`` is
+    the (k^r, ambient_dim) matrix whose row i-1 is <omega_i| and whose rows
+    past code_dim are zero; ``decoder`` is its conjugate transpose, the
+    inverse on the code space; ``code_lengths[i-1]`` is the significant length
+    of codeword i, i.e. ceil(log_k(i)). ``base_lengths`` maps each source
+    message id to the longest codeword component its encoding touches.
     """
 
     spec: RegisterSpec
-    ambient_dim: int
-    basis: tuple[np.ndarray, ...]
-    encoder: np.ndarray
-    decoder: np.ndarray
-    code_lengths: tuple[int, ...]
+    basis: np.ndarray
     base_lengths: dict[str, int]
+    encoder: np.ndarray = field(init=False, repr=False, compare=False)
+    decoder: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = tuple(linalg.as_state(w) for w in self.basis)
-        d = len(basis)
-        if not 1 <= d <= self.spec.dim:
-            raise ValueError(f"basis size {d} does not fit register of dim {self.spec.dim}")
-        for w in basis:
-            if w.shape[0] != self.ambient_dim:
-                raise ValueError("basis vector dimension mismatch")
-            w.flags.writeable = False
-        encoder = np.asarray(self.encoder, dtype=complex)
-        decoder = np.asarray(self.decoder, dtype=complex)
-        if encoder.shape != (self.spec.dim, self.ambient_dim):
-            raise ValueError("encoder has wrong shape")
-        if decoder.shape != (self.ambient_dim, self.spec.dim):
-            raise ValueError("decoder has wrong shape")
-        if len(self.code_lengths) != d:
-            raise ValueError("one code length per basis vector required")
-        encoder.flags.writeable = False
-        decoder.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "encoder", encoder)
-        object.__setattr__(self, "decoder", decoder)
-        object.__setattr__(self, "code_lengths", tuple(self.code_lengths))
+        basis = np.array(self.basis, dtype=complex)
+        if basis.ndim != 2 or basis.shape[1] == 0:
+            raise ValueError("basis must be a 2-d array with at least one column")
+        if not 1 <= basis.shape[0] <= self.spec.dim:
+            raise ValueError(f"basis size {basis.shape[0]} does not fit register of dim {self.spec.dim}")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis contains NaN or Inf")
+        encoder = np.zeros((self.spec.dim, basis.shape[1]), dtype=complex)
+        encoder[: len(basis)] = np.conj(basis)
+        # a C-ordered copy: the layout fixes how decoder products round, and stored transcripts pin that
+        decoder = encoder.conj().T.copy()
+        for name, value in (("basis", basis), ("encoder", encoder), ("decoder", decoder)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def code_dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
+
+    @property
+    def code_lengths(self) -> tuple[int, ...]:
+        return tuple(significant_length(i, self.spec.k) for i in range(self.code_dim))
 
 
-def build_codebook(
-    ensemble: SourceEnsemble,
-    k: int = 2,
-    tol: float = linalg.DEPENDENCE_TOL,
-    amp_tol: float = AMP_TOL,
-) -> Codebook:
+def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
     """Construct the code for an ensemble over a minimal k-ary register.
 
     The register length is the smallest r with k^r >= dim span(messages).
     Base lengths record, per source message, the longest codeword component
-    its encoding touches; that is what the sender must announce.
+    its encoding touches; that is what the sender must announce. Codeword
+    lengths never decrease along the basis, so that is the significant length
+    of the last component above AMP_TOL.
     """
-    units, _, rows = _independent(ensemble, tol)
+    units, _, rows = _independent(ensemble)
     d = len(rows)
     spec = RegisterSpec(k=k, r=significant_length(d - 1, k))
-
-    encoder = np.zeros((spec.dim, ensemble.ambient_dim), dtype=complex)
-    np.conjugate(rows, out=encoder[:d])
-    code_lengths = tuple(significant_length(i, k) for i in range(d))
-
-    supported = np.abs(units @ encoder[:d].T) > amp_tol
-    del units  # free the m x ambient_dim states before the decoder is allocated
-    decoder = encoder.conj().T.copy()
-    lengths = np.where(supported, np.array(code_lengths, dtype=np.int8), 0).max(axis=1)
-    base_lengths = {msg.id: int(n) for msg, n in zip(ensemble.messages, lengths)}
-
-    return Codebook(
-        spec=spec,
-        ambient_dim=ensemble.ambient_dim,
-        basis=tuple(rows),
-        encoder=encoder,
-        decoder=decoder,
-        code_lengths=code_lengths,
-        base_lengths=base_lengths,
-    )
+    supported = np.abs(units @ rows.conj().T) > AMP_TOL
+    del units  # free the m x ambient_dim states before the codebook's matrices are allocated
+    last = np.where(supported.any(axis=1), d - 1 - supported[:, ::-1].argmax(axis=1), 0)
+    base_lengths = {msg.id: significant_length(int(i), k) for msg, i in zip(ensemble.messages, last)}
+    return Codebook(spec=spec, basis=rows, base_lengths=base_lengths)
 
 
-def encode(codebook: Codebook, x, tol: float = linalg.DEPENDENCE_TOL) -> VariableLengthState:
+def encode(codebook: Codebook, x) -> VariableLengthState:
     """Apply the encoder isometry to a unit vector inside the source span."""
     x = linalg.as_state(x)
     if x.shape[0] != codebook.ambient_dim:
         raise ValueError(f"vector has dim {x.shape[0]}, expected {codebook.ambient_dim}")
     if not linalg.is_unit(x):
         raise ValueError("encode input must be a unit vector")
-    # the decoder's first code_dim columns are the basis vectors, stacked as rows
-    if not linalg.in_span(x, codebook.decoder[:, : codebook.code_dim].T, tol):
+    if not linalg.in_span(x, codebook.basis):
         raise ValueError("vector lies outside the source space")
     return VariableLengthState(codebook.spec, codebook.encoder @ x)
 
 
-def decode(
-    codebook: Codebook,
-    state: VariableLengthState,
-    support_tol: float = DECODE_SUPPORT_TOL,
-) -> np.ndarray:
+def decode(codebook: Codebook, state: VariableLengthState) -> np.ndarray:
     """Invert the encoder. The state must live on the first code_dim indices."""
     if state.spec != codebook.spec:
         raise ValueError("state register does not match the codebook register")
     tail = state.amps[codebook.code_dim :]
-    if tail.size and float(np.max(np.abs(tail))) > support_tol:
+    if tail.size and float(np.max(np.abs(tail))) > DECODE_SUPPORT_TOL:
         raise ValueError("state lies outside the code space")
     return codebook.decoder @ state.amps
 
@@ -253,9 +229,10 @@ class CodeLengthOperator:
 
 
 def code_length_operator(codebook: Codebook) -> CodeLengthOperator:
-    diag = np.diag(np.asarray(codebook.code_lengths, dtype=float))
-    basis = np.asarray(codebook.basis)
+    lengths = codebook.code_lengths
+    diag = np.diag(np.asarray(lengths, dtype=float))
+    basis = codebook.basis
     ambient = (basis.T * diag.diagonal()) @ basis.conj()
     diag.flags.writeable = False
     ambient.flags.writeable = False
-    return CodeLengthOperator(codebook.code_lengths, diag, ambient)
+    return CodeLengthOperator(lengths, diag, ambient)

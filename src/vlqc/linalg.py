@@ -17,6 +17,9 @@ DEPENDENCE_TOL = 1e-9
 ZERO_TOL = 1e-12
 # Accepted deviation of a unit vector's norm from 1.
 UNIT_TOL = 1e-12
+# Accepted entry-wise deviation from Hermitian symmetry, and the band outside
+# [0, 1] within which an eigenvalue is clamped back onto the boundary.
+HERMITIAN_TOL = 1e-10
 
 
 def as_state(v) -> np.ndarray:
@@ -38,8 +41,8 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def is_unit(v, tol: float = UNIT_TOL) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= tol
+def is_unit(v) -> bool:
+    return abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_TOL
 
 
 def normalize(v) -> np.ndarray:
@@ -51,13 +54,13 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def independent_rows(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> tuple[list[int], np.ndarray]:
+def independent_rows(vectors: Iterable) -> tuple[list[int], np.ndarray]:
     """Rank-revealing in-order Gram-Schmidt: positions of the vectors that add a
     new direction, and orthonormal rows spanning them. Residuals are classical
     Gram-Schmidt with one reorthogonalization ("twice is enough", Giraud, Langou
-    & Rozložník 2005); a vector is kept iff its residual norm exceeds ``tol``
-    times its own, and its normalized residual (phase inherited) is the next
-    row. Stops once the rows span the space.
+    & Rozložník 2005); a vector is kept iff its residual norm exceeds
+    DEPENDENCE_TOL times its own, and its normalized residual (phase
+    inherited) is the next row. Stops once the rows span the space.
     """
     vectors = [as_state(v) for v in vectors]
     dim = vectors[0].shape[0] if vectors else 0
@@ -70,30 +73,30 @@ def independent_rows(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> tuple[li
         for _ in range(2):
             residual = residual - (basis @ residual.conj()).conj() @ basis
         rnorm = float(np.linalg.norm(residual))
-        if rnorm > tol * float(np.linalg.norm(v)):
+        if rnorm > DEPENDENCE_TOL * float(np.linalg.norm(v)):
             rows[len(kept)] = residual / rnorm
             kept.append(pos)
     return kept, rows[: len(kept)]
 
 
-def gram_schmidt(vectors: Iterable, tol: float = DEPENDENCE_TOL) -> list[np.ndarray]:
+def gram_schmidt(vectors: Iterable) -> list[np.ndarray]:
     """In-order Gram-Schmidt orthonormalization: the rows of :func:`independent_rows`.
-    Raises ValueError at the first input whose relative residual norm is ``tol``
-    or below (linear dependence)."""
+    Raises ValueError at the first input whose relative residual norm is
+    DEPENDENCE_TOL or below (linear dependence)."""
     vectors = list(vectors)
-    kept, rows = independent_rows(vectors, tol)
+    kept, rows = independent_rows(vectors)
     if len(kept) < len(vectors):
         pos = next((p for p, q in enumerate(kept) if p != q), len(kept))
         raise ValueError(f"vector at position {pos} is linearly dependent on its predecessors")
     return list(rows)
 
 
-def in_span(v, basis: Sequence[np.ndarray], tol: float = DEPENDENCE_TOL) -> bool:
-    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to relative tol."""
+def in_span(v, basis: Sequence[np.ndarray]) -> bool:
+    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to relative DEPENDENCE_TOL."""
     v = as_state(v)
     rows = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[0])
     residual = v - (rows @ v.conj()).conj() @ rows
-    return float(np.linalg.norm(residual)) <= tol * float(np.linalg.norm(v))
+    return float(np.linalg.norm(residual)) <= DEPENDENCE_TOL * float(np.linalg.norm(v))
 
 
 def complex_pairs(a) -> list:
@@ -102,10 +105,10 @@ def complex_pairs(a) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def hermitian_eigenvalues(m, herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, in descending order.
 
-    Eigenvalues lying within 1e-10 outside [0, 1] are clamped to the boundary
+    Eigenvalues lying within HERMITIAN_TOL outside [0, 1] are clamped to the boundary
     so that density matrices survive floating-point noise; eigenvalues well
     outside that band are returned untouched.
     """
@@ -115,9 +118,9 @@ def hermitian_eigenvalues(m, herm_tol: float = 1e-10) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf")
     deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > herm_tol:
+    if deviation > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     eigs = np.linalg.eigvalsh(m)[::-1].copy()
-    eigs[(eigs < 0.0) & (eigs >= -1e-10)] = 0.0
-    eigs[(eigs > 1.0) & (eigs <= 1.0 + 1e-10)] = 1.0
+    eigs[(eigs < 0.0) & (eigs >= -HERMITIAN_TOL)] = 0.0
+    eigs[(eigs > 1.0) & (eigs <= 1.0 + HERMITIAN_TOL)] = 1.0
     return eigs

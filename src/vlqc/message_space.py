@@ -157,11 +157,11 @@ def expected_length(state: VariableLengthState) -> float:
     return float(sum(n * q for n, q in length_probabilities(state).items()))
 
 
-def base_length(state: VariableLengthState, amp_tol: float = AMP_TOL) -> int:
-    """Length of the longest component carrying more than rounding residue."""
-    probs = length_probabilities(state)
-    supported = [n for n, q in probs.items() if q > amp_tol**2]
-    return max(supported) if supported else 0
+def base_length(state: VariableLengthState) -> int:
+    """Length of the longest component whose amplitude exceeds AMP_TOL, the
+    rule :func:`truncate` and the codebook's base lengths also apply."""
+    present = np.flatnonzero(np.abs(state.amps) > AMP_TOL)
+    return significant_length(int(present[-1]), state.spec.k) if present.size else 0
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def measure_length(state: VariableLengthState, rng) -> LengthMeasurementOutcome:
     )
 
 
-def truncate(state: VariableLengthState, length: int, amp_tol: float = AMP_TOL) -> np.ndarray:
+def truncate(state: VariableLengthState, length: int) -> np.ndarray:
     """Drop the leading all-zero digits, keeping the first k^length amplitudes.
 
     Valid only when every component fits in ``length`` digits; raises if
@@ -209,7 +209,7 @@ def truncate(state: VariableLengthState, length: int, amp_tol: float = AMP_TOL) 
         raise ValueError(f"length {length} outside [0, {state.spec.r}]")
     keep = state.spec.k**length
     tail = state.amps[keep:]
-    if tail.size and float(np.max(np.abs(tail))) > amp_tol:
+    if tail.size and float(np.max(np.abs(tail))) > AMP_TOL:
         raise ValueError(f"state has support beyond length {length}")
     return state.amps[:keep].copy()
 

@@ -102,19 +102,18 @@ def lower_bound_check(
     avg_base_bits: float,
     side_entropy_bits: float,
     entropy_bits: float,
-    tol: float = BOUND_TOL,
 ) -> LowerBoundResult:
     slack = avg_base_bits + side_entropy_bits - entropy_bits
     return LowerBoundResult(
-        satisfied=slack >= -tol,
+        satisfied=slack >= -BOUND_TOL,
         slack=slack,
         quantum_only_slack=avg_base_bits - entropy_bits,
     )
 
 
-def upper_bound_check(avg_base_bits: float, dim_v: int, k: int, tol: float = BOUND_TOL) -> bool:
+def upper_bound_check(avg_base_bits: float, dim_v: int, k: int) -> bool:
     """Ic <= log2(dim V) + log2(k): one extra digit always suffices."""
-    return avg_base_bits <= math.log2(dim_v) + math.log2(k) + tol
+    return avg_base_bits <= math.log2(dim_v) + math.log2(k) + BOUND_TOL
 
 
 @dataclass(frozen=True)

@@ -298,7 +298,7 @@ def test_verify_on_reference_ensemble(ensemble_path, capsys):
 
 
 def test_verify_named_property_fails_on_tampered_codebook(monkeypatch, capsys):
-    # tamper with the encoder after construction: the isometry check must name it
+    # tamper with the basis after construction: the isometry check must name it
     import dataclasses
 
     import vlqc.verify as verify_module
@@ -306,9 +306,9 @@ def test_verify_named_property_fails_on_tampered_codebook(monkeypatch, capsys):
 
     def sabotaged(ensemble, k=2, **kwargs):
         codebook = real_build(ensemble, k=k, **kwargs)
-        encoder = codebook.encoder.copy()
-        encoder[0, 0] += 0.05
-        return dataclasses.replace(codebook, encoder=encoder)
+        basis = codebook.basis.copy()
+        basis[0, 0] += 0.05
+        return dataclasses.replace(codebook, basis=basis)
 
     monkeypatch.setattr(verify_module, "build_codebook", sabotaged)
     assert main(["verify", "--trials", "2"]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,12 @@ from vlqc.reference_example import (
     reference_ensemble,
 )
 from vlqc.protocol import run_session
-from vlqc.verify import near_dependent_ensemble, random_ensemble, random_unit_in_span
+from vlqc.verify import (
+    check_codebook_consistency,
+    near_dependent_ensemble,
+    random_ensemble,
+    random_units_in_span,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +156,7 @@ def test_decode_rejects_states_off_code_space():
 
 def test_round_trip_preserves_phase_factor(codebook):
     rng = np.random.default_rng(7)
-    x = random_unit_in_span(rng, codebook.basis)
+    (x,) = random_units_in_span(rng, codebook.basis, 1)
     phase = np.exp(1j * 0.37)
     decoded = decode(codebook, encode(codebook, phase * x))
     np.testing.assert_allclose(decoded, phase * x, atol=1e-10)
@@ -158,17 +164,15 @@ def test_round_trip_preserves_phase_factor(codebook):
 
 def test_isometry_on_random_span_vectors(codebook):
     rng = np.random.default_rng(13)
-    for _ in range(1000):
-        x = random_unit_in_span(rng, codebook.basis)
-        y = random_unit_in_span(rng, codebook.basis)
+    pairs = random_units_in_span(rng, codebook.basis, 2000)
+    for x, y in zip(pairs[0::2], pairs[1::2]):
         lhs = inner(codebook.encoder @ x, codebook.encoder @ y)
         assert abs(lhs - inner(x, y)) <= 1e-9
 
 
 def test_losslessness_on_random_span_vectors(codebook):
     rng = np.random.default_rng(17)
-    for _ in range(1000):
-        x = random_unit_in_span(rng, codebook.basis)
+    for x in random_units_in_span(rng, codebook.basis, 1000):
         decoded = decode(codebook, encode(codebook, x))
         assert abs(np.vdot(x, decoded)) ** 2 >= 1 - 1e-12
 
@@ -218,21 +222,6 @@ def test_code_length_operator_reference(codebook, ensemble):
     assert avg_base == pytest.approx(0.5, abs=1e-12)
 
 
-def test_code_length_operator_block_code_is_scaled_identity():
-    eye = np.eye(4, dtype=complex)
-    block = Codebook(
-        spec=RegisterSpec(k=2, r=2),
-        ambient_dim=4,
-        basis=tuple(eye[i] for i in range(4)),
-        encoder=eye.copy(),
-        decoder=eye.copy(),
-        code_lengths=(2, 2, 2, 2),
-        base_lengths={},
-    )
-    op = code_length_operator(block)
-    np.testing.assert_allclose(op.in_ambient, 2 * np.eye(4), atol=1e-12)
-
-
 def test_probabilities_must_sum_to_one():
     v = np.array([1, 0], dtype=complex)
     with pytest.raises(ValueError, match="sum"):
@@ -253,18 +242,52 @@ def test_random_ensembles_round_trip():
             assert abs(np.vdot(x, decoded)) ** 2 >= 1 - 1e-9
 
 
-def test_codebook_shape_validation():
-    eye = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="shape"):
-        Codebook(
-            spec=RegisterSpec(k=2, r=1),
-            ambient_dim=2,
-            basis=(eye[0],),
-            encoder=np.zeros((3, 2), dtype=complex),
-            decoder=np.zeros((2, 2), dtype=complex),
-            code_lengths=(0,),
-            base_lengths={},
-        )
+@pytest.mark.parametrize(
+    "basis, match",
+    [
+        (np.eye(3), "does not fit"),  # three rows in a one-qubit register
+        (np.zeros((0, 2)), "does not fit"),
+        (np.array([1.0, 0.0]), "2-d"),
+        (np.zeros((1, 0)), "at least one column"),
+        (np.array([[np.nan, 1.0]]), "NaN"),
+    ],
+)
+def test_codebook_constructor_checks(basis, match):
+    with pytest.raises(ValueError, match=match):
+        Codebook(spec=RegisterSpec(k=2, r=1), basis=basis, base_lengths={})
+
+
+def test_codebook_stores_only_its_basis(codebook):
+    init_fields = [f.name for f in dataclasses.fields(Codebook) if f.init]
+    assert init_fields == ["spec", "basis", "base_lengths"]
+    for matrix in (codebook.basis, codebook.encoder, codebook.decoder):
+        assert not matrix.flags.writeable
+    flipped = dataclasses.replace(codebook, basis=-codebook.basis)
+    np.testing.assert_array_equal(flipped.encoder, -codebook.encoder)
+    np.testing.assert_array_equal(flipped.decoder, -codebook.decoder)
+    assert flipped.code_lengths == codebook.code_lengths
+
+
+def test_codebook_consistency_passes_on_reference(ensemble, codebook):
+    assert check_codebook_consistency(ensemble, codebook, np.random.default_rng(3), 1e-9) == (True, "ok")
+
+
+def test_codebook_consistency_names_isometry_violation(ensemble, codebook):
+    basis = codebook.basis.copy()
+    basis[0, 0] += 0.05
+    tampered = dataclasses.replace(codebook, basis=basis)
+    ok, detail = check_codebook_consistency(ensemble, tampered, np.random.default_rng(3), 1e-9)
+    assert not ok and detail.startswith("isometry violated by")
+
+
+def test_codebook_consistency_names_understated_base_length():
+    ens = random_ensemble(np.random.default_rng(5), 6, 9)
+    cb = build_codebook(ens, k=3)
+    victim = next(m.id for m in ens.messages if cb.base_lengths[m.id] > 0)
+    understated = dataclasses.replace(cb, base_lengths={**cb.base_lengths, victim: cb.base_lengths[victim] - 1})
+    ok, detail = check_codebook_consistency(ens, understated, np.random.default_rng(3), 1e-9)
+    assert not ok
+    assert detail == f"message {victim!r} has amplitude beyond its base length"
 
 
 def test_minimal_register_sizes():

@@ -181,6 +181,30 @@ def test_base_length_mixed_superposition():
     assert base_length(superposition(SPEC22, 1, 3)) == 2
 
 
+def test_base_length_ignores_rounding_residue_per_component():
+    # two components of 8e-13 in the length-3 block: each is residue, though the
+    # block's probability 1.28e-24 exceeds AMP_TOL**2; truncate agrees
+    spec = RegisterSpec(k=2, r=3)
+    amps = np.array([0, 1, 0, 0, 8e-13, 8e-13, 0, 0], dtype=complex)
+    state = VariableLengthState(spec, amps / np.linalg.norm(amps))
+    assert base_length(state) == 1
+    truncate(state, 1)  # must not raise
+
+
+def test_base_length_matches_codebook_base_lengths():
+    from vlqc.codec import build_codebook, encode
+    from vlqc.reference_example import reference_codebook, reference_ensemble
+    from vlqc.verify import random_ensemble
+
+    ens = random_ensemble(np.random.default_rng(5), 6, 9)
+    for ensemble, codebook in [
+        (reference_ensemble(), reference_codebook()),
+        (ens, build_codebook(ens, k=3)),
+    ]:
+        for m in ensemble.messages:
+            assert base_length(encode(codebook, m.unit_amps())) == codebook.base_lengths[m.id]
+
+
 def test_base_length_at_least_expected_length():
     rng = np.random.default_rng(11)
     spec = RegisterSpec(k=2, r=4)

@@ -183,14 +183,16 @@ def test_default_tolerance_rejects_forged_transcript(ensemble, codebook):
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 2.0])
-@pytest.mark.parametrize("check", ["verify_lossless", "run_all"])
+@pytest.mark.parametrize("check", ["verify_lossless", "run_all", "check_codebook_consistency"])
 def test_bad_tolerance_raises(ensemble, codebook, check, tol):
     forged = _forged_transcript(ensemble, codebook)  # a vacuous tolerance (NaN, >= 1) would pass it
     with pytest.raises(ValueError, match="tolerance must be finite"):
         if check == "verify_lossless":
             verify_lossless(forged, ensemble, tol=tol)
-        else:
+        elif check == "run_all":
             verify.run_all(trials=1, tol=tol)
+        else:
+            verify.check_codebook_consistency(ensemble, codebook, np.random.default_rng(3), tol)
 
 
 def test_transcript_file_round_trip(tmp_path, ensemble, codebook, table):
