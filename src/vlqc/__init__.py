@@ -56,7 +56,6 @@ from .metrics import (
 )
 from .protocol import (
     MessageOutcome,
-    QuantumPayload,
     SessionTranscript,
     TransmissionRecord,
     alice_send,

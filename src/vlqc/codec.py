@@ -15,30 +15,36 @@ import numpy as np
 from . import linalg
 from .message_space import AMP_TOL, RegisterSpec, VariableLengthState, significant_length
 
-PROBABILITY_SUM_TOL = 1e-9
 DECODE_SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SourceMessage:
-    """One source state: raw (possibly unnormalized) amplitudes plus its probability."""
+    """One source state: raw (possibly unnormalized) amplitudes plus its probability.
+
+    The unit state |x> is computed once, here, and shared read-only.
+    """
 
     id: str
     amps: np.ndarray
     probability: float
+    _unit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = linalg.as_state(self.amps)
-        if float(np.linalg.norm(amps)) <= linalg.ZERO_TOL:
-            raise ValueError(f"message {self.id!r} has a near-zero amplitude vector")
+        try:
+            unit = linalg.normalize(amps)
+        except ValueError:
+            raise ValueError(f"message {self.id!r} has a near-zero amplitude vector") from None
         if not self.probability > 0.0:
             raise ValueError(f"message {self.id!r} must have positive probability")
         amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        for name, value in (("amps", amps), ("_unit", unit)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def unit_amps(self) -> np.ndarray:
-        return linalg.normalize(self.amps)
+        return self._unit
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class SourceEnsemble:
         if len(set(ids)) != len(ids):
             raise ValueError("message ids are not unique")
         total = float(sum(m.probability for m in self.messages))
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
     def probabilities(self) -> list[float]:
@@ -74,16 +80,9 @@ class SourceEnsemble:
         raise KeyError(message_id)
 
 
-def _unit_rows(ensemble: SourceEnsemble) -> np.ndarray:
-    units = np.empty((len(ensemble.messages), ensemble.ambient_dim), dtype=complex)
-    for row, msg in zip(units, ensemble.messages):
-        row[:] = msg.unit_amps()
-    return units
-
-
 def _independent(ensemble: SourceEnsemble):
     """The unit states (input order), select_independent's messages, and orthonormal rows spanning them."""
-    units = _unit_rows(ensemble)
+    units = np.array([m.unit_amps() for m in ensemble.messages])
     order = sorted(range(len(units)), key=lambda i: -ensemble.messages[i].probability)
     kept, rows = linalg.independent_rows(units[i] for i in order)
     return units, [ensemble.messages[order[i]] for i in kept], rows
@@ -213,7 +212,7 @@ class DensityMatrix:
 
 def density_matrix(ensemble: SourceEnsemble) -> DensityMatrix:
     """sigma = sum_x p(x) |x><x| over the unit states X, as one product (X^T p) conj(X)."""
-    units = _unit_rows(ensemble)
+    units = np.array([m.unit_amps() for m in ensemble.messages])
     weighted = units.T * np.asarray(ensemble.probabilities())
     np.conjugate(units, out=units)
     return DensityMatrix(weighted @ units)

@@ -140,7 +140,7 @@ def parse_ensemble(text: str) -> EnsembleFile:
     total = sum(p for _, _, p in messages)
     if abs(total - 1.0) > PROBABILITY_FILE_TOL:
         raise EnsembleFormatError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
         messages = [(i, a, p / total) for i, a, p in messages]
 
     ensemble = SourceEnsemble(
@@ -169,12 +169,8 @@ def _content_document(ensemble: SourceEnsemble) -> dict:
     }
 
 
-def ensemble_document(ensemble: SourceEnsemble, k: int, normalize: bool = True) -> dict:
-    return {"k": k, "normalize": normalize, **_content_document(ensemble)}
-
-
-def dump_ensemble(ensemble: SourceEnsemble, k: int, path, normalize: bool = True) -> None:
-    doc = ensemble_document(ensemble, k, normalize)
+def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
+    doc = {"k": k, "normalize": True, **_content_document(ensemble)}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

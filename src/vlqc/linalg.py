@@ -20,6 +20,8 @@ UNIT_TOL = 1e-12
 # Accepted entry-wise deviation from Hermitian symmetry, and the band outside
 # [0, 1] within which an eigenvalue is clamped back onto the boundary.
 HERMITIAN_TOL = 1e-10
+# Accepted deviation of a probability distribution's sum from 1.
+PROBABILITY_SUM_TOL = 1e-9
 
 
 def as_state(v) -> np.ndarray:

@@ -38,7 +38,8 @@ class RegisterSpec:
             raise ValueError(f"digit printing supports k <= {len(DIGIT_ALPHABET)}")
         if self.r < 0:
             raise ValueError("register length r must be >= 0")
-        if self.k**self.r > 2**22:
+        # k >= 2, so r > 22 already exceeds the cap; test it before computing k^r
+        if self.r > 22 or self.k**self.r > 2**22:
             raise ValueError("register dimension k^r too large for dense simulation")
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode, encode
 from .ensemble_io import ensemble_hash
-from .message_space import RegisterSpec, pad, truncate
+from .message_space import RegisterSpec, VariableLengthState, pad, truncate
 from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
 
 FIDELITY_TOL = 1e-9
@@ -51,22 +51,6 @@ def _read_only_state(v) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QuantumPayload:
-    """The truncated codeword actually sent: ``length`` digits, dim k^length."""
-
-    length: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("payload length must be >= 0")
-        amps = _read_only_state(self.amps)
-        if not linalg.is_unit(amps):
-            raise ValueError("payload is not unit norm")
-        object.__setattr__(self, "amps", amps)
-
-
 @dataclass(frozen=True, slots=True)
 class TransmissionRecord:
     """Accounting for one draw; ``base_length`` is also the k-ary digits sent (× log2(k) qubits)."""
@@ -75,7 +59,7 @@ class TransmissionRecord:
     message_id: str
     base_length: int
     classical_bits: str
-    payload: QuantumPayload
+    payload: VariableLengthState
     decoded: np.ndarray
     fidelity: float
 
@@ -92,7 +76,7 @@ class MessageOutcome:
     message_index: int
     message_id: str
     classical_bits: str
-    payload: QuantumPayload
+    payload: VariableLengthState
     decoded: np.ndarray
     fidelity: float
 
@@ -150,7 +134,7 @@ class SessionTranscript:
     @property
     def total_qubits(self) -> int:
         """Quantum digits sent over the whole session."""
-        return int(self._counts @ [o.payload.length for o in self.outcomes])
+        return int(self._counts @ [o.payload.spec.r for o in self.outcomes])
 
     @property
     def total_classical_bits(self) -> int:
@@ -167,7 +151,7 @@ class SessionTranscript:
     def records(self) -> tuple[TransmissionRecord, ...]:
         """One record per draw, in send order, built from the table on first access."""
         rows = [
-            (o.message_id, o.payload.length, o.classical_bits, o.payload, o.decoded, o.fidelity)
+            (o.message_id, o.payload.spec.r, o.classical_bits, o.payload, o.decoded, o.fidelity)
             for o in self.outcomes
         ]
         return tuple(
@@ -182,10 +166,11 @@ class SessionTranscript:
 
 def alice_send(
     codebook: Codebook, table: PrefixCodeTable, message: SourceMessage
-) -> tuple[str, QuantumPayload]:
+) -> tuple[str, VariableLengthState]:
     """Encode, truncate to the tabulated base length, and look up the length codeword.
 
-    For base length 0 the payload is empty and only classical bits are emitted.
+    The payload is the codeword on a register of base-length digits. For base
+    length 0 that register has no digits and only classical bits are emitted.
     """
     try:
         base = codebook.base_lengths[message.id]
@@ -196,18 +181,16 @@ def alice_send(
     except KeyError:
         raise ValueError(f"length {base} is missing from the side-channel table") from None
     state = encode(codebook, message.unit_amps())
-    return bits, QuantumPayload(length=base, amps=truncate(state, base))
+    return bits, VariableLengthState(RegisterSpec(codebook.spec.k, base), truncate(state, base))
 
 
 def bob_receive(
-    codebook: Codebook, table: PrefixCodeTable, bits: str, payload: QuantumPayload
+    codebook: Codebook, table: PrefixCodeTable, bits: str, payload: VariableLengthState
 ) -> np.ndarray:
     """Decode the length header, restore leading zero digits, invert the encoder."""
     [length] = decode_lengths(table, bits, 1)
-    if length != payload.length:
-        raise ValueError(f"header says {length} digits but payload has {payload.length}")
-    if payload.amps.shape[0] != codebook.spec.k**length:
-        raise ValueError("payload dimension does not match its length")
+    if payload.spec != RegisterSpec(codebook.spec.k, length):
+        raise ValueError(f"header says {length} digits but payload is on {payload.spec}")
     return decode(codebook, pad(payload.amps, codebook.spec))
 
 
@@ -278,7 +261,7 @@ def _line_chunks(transcript: SessionTranscript):
     yield [json.dumps(header, sort_keys=True)]
     prefixes, suffixes = [], []
     for o in transcript.outcomes:
-        before = {"baseLength": o.payload.length, "classicalBits": o.classical_bits, "fidelity": o.fidelity}
+        before = {"baseLength": o.payload.spec.r, "classicalBits": o.classical_bits, "fidelity": o.fidelity}
         after = {"messageId": o.message_id, "payloadAmps": linalg.complex_pairs(o.payload.amps)}
         prefixes.append(json.dumps(before, sort_keys=True)[:-1] + ', "index": ')
         suffixes.append(", " + json.dumps(after, sort_keys=True)[1:])
@@ -327,8 +310,8 @@ def replay_decode(codebook: Codebook, table: PrefixCodeTable, record_doc: dict) 
     This is the storage mode: decoding happens from persisted classical bits
     and quantum payload, independent of the original session.
     """
-    payload = QuantumPayload(
-        length=record_doc["baseLength"],
-        amps=np.array([complex(re, im) for re, im in record_doc["payloadAmps"]]),
+    payload = VariableLengthState(
+        RegisterSpec(codebook.spec.k, record_doc["baseLength"]),
+        np.array([complex(re, im) for re, im in record_doc["payloadAmps"]]),
     )
     return bob_receive(codebook, table, record_doc["classicalBits"], payload)

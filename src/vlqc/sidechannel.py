@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import log2
 
-PROBABILITY_SUM_TOL = 1e-9
+from .linalg import PROBABILITY_SUM_TOL
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,12 @@ from .sidechannel import (
     decode_lengths,
     encode_lengths,
     expected_code_length,
-    is_prefix_free,
-    kraft_sum,
     length_distribution,
     shannon_entropy,
 )
 
 DEFAULT_SEED = 20260810
+GRID_MAX_SYMBOLS = 5  # the exhaustive Huffman oracle's largest alphabet
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,8 @@ def optimal_prefix_mean_twentieths(counts: tuple[int, ...]) -> int:
     return best
 
 
-def grid_distributions(max_symbols: int = 5) -> list[tuple[int, ...]]:
-    """All probability-count tuples on the 0.05 grid with 2..max_symbols symbols."""
+def grid_distributions() -> list[tuple[int, ...]]:
+    """All probability-count tuples on the 0.05 grid with 2..GRID_MAX_SYMBOLS symbols."""
     out: list[tuple[int, ...]] = []
 
     def compose(remaining: int, parts: int, prefix: list[int]):
@@ -132,7 +131,7 @@ def grid_distributions(max_symbols: int = 5) -> list[tuple[int, ...]]:
         for first in range(1, remaining - parts + 2):
             compose(remaining - first, parts - 1, prefix + [first])
 
-    for symbols in range(2, max_symbols + 1):
+    for symbols in range(2, GRID_MAX_SYMBOLS + 1):
         compose(20, symbols, [])
     return out
 
@@ -188,10 +187,11 @@ def check_session(ensemble: SourceEnsemble, codebook: Codebook, n: int, seed: in
     return True, "ok"
 
 
-def _fmt(passed_all: bool, failures: list[str], ok_detail: str) -> tuple[bool, str]:
-    if passed_all:
-        return True, ok_detail
-    return False, "; ".join(failures[:3])
+def _result(name: str, failures: list[str], ok_detail: str) -> PropertyResult:
+    """Passed iff nothing failed; the detail names up to three failures."""
+    if failures:
+        return PropertyResult(name, False, "; ".join(failures[:3]))
+    return PropertyResult(name, True, ok_detail)
 
 
 def run_all(
@@ -246,28 +246,15 @@ def run_all(
             ok, detail = False, f"session aborted: {exc}"
         if not ok:
             session_failures.append(f"subject {t}: {detail}")
-    results.append(
-        PropertyResult(
-            "codebook-isometry-and-losslessness",
-            *_fmt(not failures, failures, f"{len(subjects)} ensemble(s) checked"),
-        )
-    )
-    results.append(
-        PropertyResult(
-            "entropy-lower-bound",
-            *_fmt(not lower_failures, lower_failures, f"{len(subjects)} ensemble(s) checked"),
-        )
-    )
-    results.append(
-        PropertyResult(
-            "session-round-trip",
-            *_fmt(not session_failures, session_failures, f"{len(subjects)} session(s) checked"),
-        )
-    )
+    checked = f"{len(subjects)} ensemble(s) checked"
+    results.append(_result("codebook-isometry-and-losslessness", failures, checked))
+    results.append(_result("entropy-lower-bound", lower_failures, checked))
+    results.append(_result("session-round-trip", session_failures, f"{len(subjects)} session(s) checked"))
 
-    # Huffman optimality + Shannon chain + admissibility on the 0.05 grid.
+    # Huffman optimality + Shannon chain on the 0.05 grid; PrefixCodeTable itself
+    # rejects a table that is not prefix-free or breaks Kraft.
     huffman_failures: list[str] = []
-    grid = grid_distributions(5)
+    grid = grid_distributions()
     for counts in grid:
         dist = LengthDistribution({i: c / 20 for i, c in enumerate(counts)})
         table = build_huffman(dist)
@@ -279,15 +266,8 @@ def run_all(
         entropy = shannon_entropy(dist.probs.values())
         if not (entropy - 1e-9 <= mean < entropy + 1.0):
             huffman_failures.append(f"counts {counts}: Shannon chain violated")
-        if not is_prefix_free(table.codewords.values()):
-            huffman_failures.append(f"counts {counts}: not prefix-free")
-        if kraft_sum((len(w) for w in table.codewords.values()), 2) > 1.0 + 1e-12:
-            huffman_failures.append(f"counts {counts}: Kraft sum above 1")
     results.append(
-        PropertyResult(
-            "huffman-optimality-and-admissibility",
-            *_fmt(not huffman_failures, huffman_failures, f"{len(grid)} grid distributions"),
-        )
+        _result("huffman-optimality-and-admissibility", huffman_failures, f"{len(grid)} grid distributions")
     )
 
     # Length stream round trips on random tables and sequences.
@@ -303,12 +283,7 @@ def run_all(
         stream = encode_lengths(table, seq)
         if decode_lengths(table, stream, len(seq)) != seq:
             stream_failures.append(f"trial {trial}: round trip mismatch")
-    results.append(
-        PropertyResult(
-            "length-stream-round-trip",
-            *_fmt(not stream_failures, stream_failures, "32 random tables"),
-        )
-    )
+    results.append(_result("length-stream-round-trip", stream_failures, "32 random tables"))
 
     # No-go scans by exact counting.
     nogo_failures: list[str] = []
@@ -324,11 +299,7 @@ def run_all(
                 verdict = no_go_universal(scan_k, r, s)
                 if verdict.block_to_variable_feasible or verdict.variable_to_variable_feasible:
                     nogo_failures.append(f"universal ({scan_k}, {r}, {s}) feasible")
-    results.append(
-        PropertyResult(
-            "no-go-scans", *_fmt(not nogo_failures, nogo_failures, "exact integer scans")
-        )
-    )
+    results.append(_result("no-go-scans", nogo_failures, "exact integer scans"))
 
     # Dephasing never lowers entropy.
     dephasing_failures: list[str] = []
@@ -339,12 +310,7 @@ def run_all(
         basis = list(random_unitary(rng, dim).T)
         if not dephasing_entropy_check(sigma, basis, tol=tol):
             dephasing_failures.append(f"trial {trial}: entropy decreased")
-    results.append(
-        PropertyResult(
-            "dephasing-entropy-nondecrease",
-            *_fmt(not dephasing_failures, dephasing_failures, "100 random pairs"),
-        )
-    )
+    results.append(_result("dephasing-entropy-nondecrease", dephasing_failures, "100 random pairs"))
 
     # Identical seeds give byte-identical transcripts.
     det_subject, det_k = subjects[0]

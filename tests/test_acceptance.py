@@ -204,7 +204,7 @@ def test_criterion_12_lower_bound(random_subjects, ensemble, codebook, report):
 
 @criterion(13, "Huffman optimality on the 0.05 grid; Shannon chain everywhere")
 def test_criterion_13_huffman(random_subjects):
-    for counts in grid_distributions(5):
+    for counts in grid_distributions():
         dist = LengthDistribution({i: c / 20 for i, c in enumerate(counts)})
         table = build_huffman(dist)
         mean = expected_code_length(table, dist)

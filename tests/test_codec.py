@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from vlqc.codec import (
     encode,
     select_independent,
 )
+from vlqc.ensemble_io import parse_ensemble
 from vlqc.linalg import hermitian_eigenvalues, inner, normalize
 from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length
 from vlqc.reference_example import (
@@ -229,6 +231,35 @@ def test_probabilities_must_sum_to_one():
             messages=(SourceMessage("x", v, 0.5), SourceMessage("y", v, 0.4)),
             ambient_dim=2,
         )
+
+
+UNNORMALIZED_DOC = {
+    "k": 2,
+    "ambientDim": 2,
+    "normalize": False,
+    "messages": [
+        {"id": "x", "p": 0.75, "amps": [[1, 0], [0, 2]]},
+        {"id": "y", "p": 0.25, "amps": [[3, 0], [4, 0]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("source", ["reference", "unnormalized file"])
+def test_unit_amps_is_one_stored_read_only_state(source):
+    if source == "reference":
+        ens = reference_ensemble()
+    else:
+        ens = parse_ensemble(json.dumps(UNNORMALIZED_DOC)).ensemble
+    for msg in ens.messages:
+        unit = msg.unit_amps()
+        assert unit is msg.unit_amps()
+        assert not unit.flags.writeable
+        assert unit.tobytes() == normalize(msg.amps).tobytes()
+
+
+def test_zero_message_is_rejected():
+    with pytest.raises(ValueError, match="message 'z' has a near-zero amplitude vector"):
+        SourceMessage("z", np.zeros(3), 1.0)
 
 
 def test_random_ensembles_round_trip():

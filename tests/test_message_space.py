@@ -325,3 +325,11 @@ def test_state_requires_unit_norm():
 def test_state_requires_matching_dimension():
     with pytest.raises(ValueError, match="dim"):
         VariableLengthState(SPEC22, np.array([1, 0], dtype=complex))
+
+
+def test_register_rejects_huge_length_before_computing_its_dimension():
+    # 36**(10**8) is far too slow to evaluate; the length alone decides
+    for spec in ((36, 10**8), (2, 23)):
+        with pytest.raises(ValueError, match="too large"):
+            RegisterSpec(*spec)
+    assert RegisterSpec(2, 22).dim == 2**22

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from vlqc import verify
+from vlqc.message_space import RegisterSpec, VariableLengthState
 from vlqc.protocol import (
-    QuantumPayload,
     SessionTranscript,
     alice_send,
     bob_receive,
@@ -43,7 +43,7 @@ def table(ensemble, codebook):
 def test_alice_send_empty_payload(ensemble, codebook, table):
     bits, payload = alice_send(codebook, table, ensemble.find("a"))
     assert bits == table.codewords[0]
-    assert payload.length == 0
+    assert payload.spec.r == 0
     assert payload.amps.shape == (1,)
     np.testing.assert_allclose(payload.amps, [1.0], atol=1e-12)
 
@@ -51,7 +51,7 @@ def test_alice_send_empty_payload(ensemble, codebook, table):
 def test_alice_send_one_digit(ensemble, codebook, table):
     bits, payload = alice_send(codebook, table, ensemble.find("b"))
     assert bits == table.codewords[1]
-    assert payload.length == 1
+    assert payload.spec.r == 1
     np.testing.assert_allclose(
         payload.amps.real, [5 / (2 * math.sqrt(7)), 3 / (2 * math.sqrt(21))], atol=1e-12
     )
@@ -60,7 +60,7 @@ def test_alice_send_one_digit(ensemble, codebook, table):
 def test_alice_send_full_length(ensemble, codebook, table):
     bits, payload = alice_send(codebook, table, ensemble.find("e"))
     assert bits == table.codewords[2]
-    assert payload.length == 2
+    assert payload.spec.r == 2
     assert payload.amps.shape == (4,)
 
 
@@ -73,7 +73,8 @@ def test_alice_send_unknown_message(codebook, table):
 
 
 def test_bob_receive_empty_payload(ensemble, codebook, table):
-    decoded = bob_receive(codebook, table, table.codewords[0], QuantumPayload(0, np.array([1.0 + 0j])))
+    payload = VariableLengthState(RegisterSpec(2, 0), np.array([1.0 + 0j]))
+    decoded = bob_receive(codebook, table, table.codewords[0], payload)
     np.testing.assert_allclose(decoded, ensemble.find("a").unit_amps(), atol=1e-12)
 
 
@@ -85,13 +86,20 @@ def test_bob_receive_round_trip_every_message(ensemble, codebook, table):
 
 
 def test_bob_receive_header_payload_mismatch(codebook, table):
-    payload = QuantumPayload(1, np.array([1, 0], dtype=complex))
+    payload = VariableLengthState(RegisterSpec(2, 1), np.array([1, 0], dtype=complex))
     with pytest.raises(ValueError, match="digits"):
         bob_receive(codebook, table, table.codewords[2], payload)
 
 
+def test_bob_receive_rejects_payload_over_other_letter_dimension(codebook, table):
+    # right digit count, wrong digits: one base-3 digit sent to a base-2 codebook
+    payload = VariableLengthState(RegisterSpec(3, 1), np.array([1, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match="header says 1 digits"):
+        bob_receive(codebook, table, table.codewords[1], payload)
+
+
 def test_bob_receive_trailing_bits(codebook, table):
-    payload = QuantumPayload(0, np.array([1.0 + 0j]))
+    payload = VariableLengthState(RegisterSpec(2, 0), np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="trailing"):
         bob_receive(codebook, table, table.codewords[0] + "0", payload)
 
@@ -257,9 +265,11 @@ def test_storage_mode_decodes_later(tmp_path, ensemble, codebook, table):
         np.testing.assert_allclose(decoded, record.decoded, atol=1e-12)
 
 
-def test_payload_requires_unit_norm():
-    with pytest.raises(ValueError, match="unit"):
-        QuantumPayload(1, np.array([1, 1], dtype=complex))
+def test_replay_decode_rejects_huge_base_length_at_once(ensemble, codebook, table):
+    record = json.loads(transcript_lines(run_session(ensemble, codebook, n=1, seed=2))[1])
+    record["baseLength"] = 10**8
+    with pytest.raises(ValueError, match="too large"):
+        replay_decode(codebook, table, record)
 
 
 # Digests of "\n".join(transcript_lines(t)) + "\n" as written by the per-draw
@@ -370,7 +380,7 @@ def test_check_session_recomputes_accounting_from_codebook(monkeypatch, ensemble
     honest = run_session(ensemble, codebook, n=100, seed=12)
     assert verify.check_session(ensemble, codebook, n=100, seed=12, tol=1e-9) == (True, "ok")
     outcomes = _swap(honest.outcomes, attr)
-    assert outcomes[0].payload.length != outcomes[1].payload.length
+    assert outcomes[0].payload.spec.r != outcomes[1].payload.spec.r
     # a self-consistent transcript whose table disagrees with the codebook
     forged = SessionTranscript(
         spec=honest.spec,

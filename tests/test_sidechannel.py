@@ -68,7 +68,7 @@ def test_huffman_uniform_four_is_balanced():
 
 
 def test_huffman_optimal_on_probability_grid():
-    for counts in grid_distributions(5):
+    for counts in grid_distributions():
         dist = LengthDistribution({i: c / 20 for i, c in enumerate(counts)})
         table = build_huffman(dist)
         mean_twentieths = round(expected_code_length(table, dist) * 20)
