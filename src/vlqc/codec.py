@@ -162,26 +162,38 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
     return Codebook(spec=spec, basis=rows, base_lengths=base_lengths)
 
 
+def encode_many(codebook: Codebook, x) -> np.ndarray:
+    """The encoder isometry applied to each row of ``x``, each a unit vector inside the source span."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != codebook.ambient_dim:
+        raise ValueError(f"vector has dim {x.shape[-1]}, expected {codebook.ambient_dim}")
+    if not (np.abs(np.linalg.norm(x, axis=1) - 1.0) <= linalg.UNIT_TOL).all():
+        raise ValueError("encode input must be a unit vector")
+    if not linalg.in_span(x, codebook.basis).all():
+        raise ValueError("vector lies outside the source space")
+    # one matvec per row, not a gemm (x @ encoder.T): a gemm rounds differently
+    # from ``encoder @ row``, and stored transcripts pin that rounding
+    return np.matmul(codebook.encoder, x[:, :, None])[:, :, 0]
+
+
 def encode(codebook: Codebook, x) -> VariableLengthState:
     """Apply the encoder isometry to a unit vector inside the source span."""
-    x = linalg.as_state(x)
-    if x.shape[0] != codebook.ambient_dim:
-        raise ValueError(f"vector has dim {x.shape[0]}, expected {codebook.ambient_dim}")
-    if not linalg.is_unit(x):
-        raise ValueError("encode input must be a unit vector")
-    if not linalg.in_span(x, codebook.basis):
-        raise ValueError("vector lies outside the source space")
-    return VariableLengthState(codebook.spec, codebook.encoder @ x)
+    return VariableLengthState(codebook.spec, encode_many(codebook, linalg.as_state(x)[None])[0])
+
+
+def decode_many(codebook: Codebook, amps: np.ndarray) -> np.ndarray:
+    """Invert the encoder on each row of ``amps``; every row must live on the first code_dim indices."""
+    tail = amps[:, codebook.code_dim :]
+    if tail.size and float(np.max(np.abs(tail))) > DECODE_SUPPORT_TOL:
+        raise ValueError("state lies outside the code space")
+    return np.matmul(codebook.decoder, amps[:, :, None])[:, :, 0]  # per-row matvecs, as in encode_many
 
 
 def decode(codebook: Codebook, state: VariableLengthState) -> np.ndarray:
     """Invert the encoder. The state must live on the first code_dim indices."""
     if state.spec != codebook.spec:
         raise ValueError("state register does not match the codebook register")
-    tail = state.amps[codebook.code_dim :]
-    if tail.size and float(np.max(np.abs(tail))) > DECODE_SUPPORT_TOL:
-        raise ValueError("state lies outside the code space")
-    return codebook.decoder @ state.amps
+    return decode_many(codebook, state.amps[None])[0]
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,14 @@ def gram_schmidt(vectors: Iterable) -> list[np.ndarray]:
     return list(rows)
 
 
-def in_span(v, basis: Sequence[np.ndarray]) -> bool:
-    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to relative DEPENDENCE_TOL."""
-    v = as_state(v)
-    rows = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[0])
-    residual = v - (rows @ v.conj()).conj() @ rows
-    return float(np.linalg.norm(residual)) <= DEPENDENCE_TOL * float(np.linalg.norm(v))
+def in_span(v, basis: Sequence[np.ndarray]) -> bool | np.ndarray:
+    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to
+    relative DEPENDENCE_TOL; for a 2-d stack v, one bool per row."""
+    v = np.asarray(v, dtype=complex) if np.ndim(v) == 2 else as_state(v)
+    rows = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[-1])
+    residual = v - (rows @ v.conj().T).conj().T @ rows
+    inside = np.linalg.norm(residual, axis=-1) <= DEPENDENCE_TOL * np.linalg.norm(v, axis=-1)
+    return inside if v.ndim == 2 else bool(inside)
 
 
 def complex_pairs(a) -> list:

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .codec import Codebook, SourceEnsemble, SourceMessage, decode, encode
+from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import ensemble_hash
-from .message_space import RegisterSpec, VariableLengthState, pad, truncate
+from .message_space import AMP_TOL, RegisterSpec, VariableLengthState
 from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
 
 FIDELITY_TOL = 1e-9
@@ -36,19 +36,6 @@ def check_tolerance(tol: float) -> float:
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tolerance must be finite, >= 0 and < 1, got {tol!r}")
     return tol
-
-
-def _read_only_state(v) -> np.ndarray:
-    """A validated complex state vector that cannot be written to.
-
-    An array that already is one is shared rather than copied, so every
-    record of a repeated message points at that message's one array.
-    """
-    arr = linalg.as_state(v)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +70,9 @@ class MessageOutcome:
     def __post_init__(self):
         if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        object.__setattr__(self, "decoded", _read_only_state(self.decoded))
+        decoded = linalg.as_state(self.decoded).copy()
+        decoded.flags.writeable = False
+        object.__setattr__(self, "decoded", decoded)
 
 
 @dataclass(frozen=True)
@@ -164,34 +153,57 @@ class SessionTranscript:
         return "".join([words[slot] for slot in self._slots.tolist()])
 
 
+def alice_send_many(
+    codebook: Codebook, table: PrefixCodeTable, messages: list[SourceMessage]
+) -> tuple[list[str], list[VariableLengthState]]:
+    """Each message's length codeword and its codeword truncated to the tabulated
+    base length, as a payload on a register of base-length digits (none for base
+    length 0): one encoder product over the stacked unit states."""
+    bases = [codebook.base_lengths.get(m.id) for m in messages]
+    if None in bases:
+        raise ValueError(f"message {messages[bases.index(None)].id!r} is unknown to this codebook")
+    bits = [table.codewords.get(base) for base in bases]
+    if None in bits:
+        raise ValueError(f"length {bases[bits.index(None)]} is missing from the side-channel table")
+    codewords = encode_many(codebook, [m.unit_amps() for m in messages])
+    keep = codebook.spec.k ** np.array(bases)
+    beyond = np.arange(codebook.spec.dim) >= keep[:, None]
+    cut = (np.abs(codewords) * beyond).max(axis=1) > AMP_TOL  # truncate's check, on every row
+    if cut.any():
+        raise ValueError(f"state has support beyond length {bases[int(cut.argmax())]}")
+    return bits, [
+        VariableLengthState(RegisterSpec(codebook.spec.k, base), row[:size])
+        for base, size, row in zip(bases, keep.tolist(), codewords)
+    ]
+
+
 def alice_send(
     codebook: Codebook, table: PrefixCodeTable, message: SourceMessage
 ) -> tuple[str, VariableLengthState]:
-    """Encode, truncate to the tabulated base length, and look up the length codeword.
+    """:func:`alice_send_many` for one message."""
+    [bits], [payload] = alice_send_many(codebook, table, [message])
+    return bits, payload
 
-    The payload is the codeword on a register of base-length digits. For base
-    length 0 that register has no digits and only classical bits are emitted.
-    """
-    try:
-        base = codebook.base_lengths[message.id]
-    except KeyError:
-        raise ValueError(f"message {message.id!r} is unknown to this codebook") from None
-    try:
-        bits = table.codewords[base]
-    except KeyError:
-        raise ValueError(f"length {base} is missing from the side-channel table") from None
-    state = encode(codebook, message.unit_amps())
-    return bits, VariableLengthState(RegisterSpec(codebook.spec.k, base), truncate(state, base))
+
+def bob_receive_many(
+    codebook: Codebook, table: PrefixCodeTable, stream: str, payloads: list[VariableLengthState]
+) -> np.ndarray:
+    """Decode one length header per payload from the stream, restore leading zero
+    digits, and invert the encoder: one decoder product over the stacked payloads."""
+    lengths = decode_lengths(table, stream, len(payloads))
+    padded = np.zeros((len(payloads), codebook.spec.dim), dtype=complex)
+    for row, length, payload in zip(padded, lengths, payloads):
+        if payload.spec != RegisterSpec(codebook.spec.k, length):
+            raise ValueError(f"header says {length} digits but payload is on {payload.spec}")
+        row[: payload.amps.size] = payload.amps
+    return decode_many(codebook, padded)
 
 
 def bob_receive(
     codebook: Codebook, table: PrefixCodeTable, bits: str, payload: VariableLengthState
 ) -> np.ndarray:
-    """Decode the length header, restore leading zero digits, invert the encoder."""
-    [length] = decode_lengths(table, bits, 1)
-    if payload.spec != RegisterSpec(codebook.spec.k, length):
-        raise ValueError(f"header says {length} digits but payload is on {payload.spec}")
-    return decode(codebook, pad(payload.amps, codebook.spec))
+    """:func:`bob_receive_many` for one payload and its length header."""
+    return bob_receive_many(codebook, table, bits, [payload])[0]
 
 
 def run_session(
@@ -202,7 +214,7 @@ def run_session(
     Sampling is inverse-CDF over the messages in input order, driven by
     numpy's seeded PCG64 generator, so a (ensemble, n, seed) triple always
     produces the identical transcript. Send/receive is deterministic per
-    message, so each distinct message drawn is transmitted once.
+    message, so the distinct messages drawn are transmitted once, as one stack.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -214,14 +226,16 @@ def run_session(
     uniforms = np.random.default_rng(seed).random(n)
     picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), m - 1)
 
-    outcomes = []
-    for pick in np.flatnonzero(np.bincount(picks, minlength=m)).tolist():
-        msg = ensemble.messages[pick]
-        bits, payload = alice_send(codebook, table, msg)
-        decoded = bob_receive(codebook, table, bits, payload)
-        fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
-        outcomes.append(MessageOutcome(pick, msg.id, bits, payload, decoded, fidelity))
-    return SessionTranscript(codebook.spec, seed, ensemble_hash(ensemble), tuple(outcomes), picks)
+    drawn = np.flatnonzero(np.bincount(picks, minlength=m)).tolist()
+    messages = [ensemble.messages[i] for i in drawn]
+    bits, payloads = alice_send_many(codebook, table, messages)
+    decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
+    outcomes = tuple(
+        # one vdot per outcome: a batched product rounds the fidelity differently
+        MessageOutcome(i, msg.id, b, p, row, float(abs(np.vdot(msg.unit_amps(), row)) ** 2))
+        for i, msg, b, p, row in zip(drawn, messages, bits, payloads, decoded)
+    )
+    return SessionTranscript(codebook.spec, seed, ensemble_hash(ensemble), outcomes, picks)
 
 
 def verify_lossless(
@@ -229,16 +243,17 @@ def verify_lossless(
 ) -> bool:
     """Every decoded message reproduces its source with fidelity >= 1 - tol.
 
-    Each distinct message is checked once; the transcript guarantees that
+    Each distinct message is checked once, against the ensemble message at its
+    ``message_index``, whose id it must carry; the transcript guarantees that
     every draw maps to one of these outcomes.
     """
     check_tolerance(tol)
-    by_id = {m.id: m.unit_amps() for m in ensemble.messages}
-    for outcome in transcript.outcomes:
-        source = by_id.get(outcome.message_id)
-        if source is None:
+    messages = ensemble.messages
+    for o in transcript.outcomes:
+        source = messages[o.message_index] if 0 <= o.message_index < len(messages) else None
+        if source is None or source.id != o.message_id:
             return False
-        if abs(np.vdot(source, outcome.decoded)) ** 2 < 1.0 - tol:
+        if abs(np.vdot(source.unit_amps(), o.decoded)) ** 2 < 1.0 - tol:
             return False
     return True
 

@@ -11,7 +11,9 @@ from vlqc.message_space import RegisterSpec, VariableLengthState
 from vlqc.protocol import (
     SessionTranscript,
     alice_send,
+    alice_send_many,
     bob_receive,
+    bob_receive_many,
     read_transcript,
     replay_decode,
     run_session,
@@ -21,8 +23,8 @@ from vlqc.protocol import (
 )
 from vlqc.reference_example import reference_codebook, reference_ensemble
 from vlqc.sidechannel import build_huffman, length_distribution
-from vlqc.verify import random_ensemble
-from vlqc.codec import build_codebook
+from vlqc.verify import near_dependent_ensemble, random_ensemble
+from vlqc.codec import SourceMessage, build_codebook, decode_many, encode_many
 
 
 @pytest.fixture(scope="module")
@@ -411,3 +413,124 @@ def test_totals_are_derived_from_the_table(ensemble, codebook):
     assert transcript.total_qubits == sum(r.base_length for r in records)
     assert transcript.total_classical_bits == len(transcript.side_channel_stream())
     assert transcript.mean_fidelity == sum(r.fidelity for r in records) / len(records)
+
+
+def _forged_b_as_c(ensemble, codebook):
+    """The n = 200, seed 3 session with b's outcome replaced by c's, kept at b's index.
+
+    b and c have the same base length, so the forged table still matches the
+    codebook's accounting; only the index/id pairing gives it away.
+    """
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    by_id = {o.message_id: o for o in transcript.outcomes}
+    b, c = by_id["b"], by_id["c"]
+    assert codebook.base_lengths["b"] == codebook.base_lengths["c"]
+    assert int((transcript.picks == b.message_index).sum()) == 23
+    swapped = dataclasses.replace(c, message_index=b.message_index)
+    return dataclasses.replace(
+        transcript, outcomes=tuple(swapped if o is b else o for o in transcript.outcomes)
+    )
+
+
+def test_outcome_carrying_another_messages_id_is_rejected(monkeypatch, ensemble, codebook):
+    forged = _forged_b_as_c(ensemble, codebook)
+    assert not verify_lossless(forged, ensemble)
+    monkeypatch.setattr(verify, "run_session", lambda *args, **kwargs: forged)
+    ok, message = verify.check_session(ensemble, codebook, n=200, seed=3, tol=1e-9)
+    assert not ok and "lossy" in message
+
+
+def test_outcome_index_past_the_ensemble_is_rejected(ensemble, codebook):
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    last, beyond = transcript.outcomes[-1], len(ensemble.messages)
+    forged = dataclasses.replace(
+        transcript,
+        outcomes=transcript.outcomes[:-1] + (dataclasses.replace(last, message_index=beyond),),
+        picks=np.where(transcript.picks == last.message_index, beyond, transcript.picks),
+    )
+    assert verify_lossless(forged, ensemble) is False
+
+
+# Subjects for the stacked transmit path: zero-padded registers, the d = 1 and
+# m = 1 edges, a two-digit base-36 register and nearly dependent states.
+STACK_SUBJECTS = {
+    "reference": lambda: (reference_ensemble(), 2),
+    "random-6x12-k3": lambda: (random_ensemble(np.random.default_rng(0), 6, 12), 3),
+    "d1": lambda: (random_ensemble(np.random.default_rng(1), 1, 4), 2),
+    "m1": lambda: (random_ensemble(np.random.default_rng(2), 5, 1), 2),
+    "k36-d40": lambda: (random_ensemble(np.random.default_rng(3), 40, 45), 36),
+    **{
+        f"near-{eps:g}": (lambda eps=eps: (near_dependent_ensemble(np.random.default_rng(4), 5, 8, eps), 2))
+        for eps in (1e-4, 1e-6, 1e-8)
+    },
+}
+
+
+def _outcome_bits(index, message_id, bits, payload, decoded, fidelity):
+    """Everything an outcome carries, floats as raw bytes (signs of zeros included) or hex."""
+    return (index, message_id, bits, payload.spec, payload.amps.tobytes(), decoded.tobytes(), fidelity.hex())
+
+
+@pytest.mark.parametrize("name", list(STACK_SUBJECTS))
+def test_stacked_session_equals_per_message_loop(name):
+    ens, k = STACK_SUBJECTS[name]()
+    cb = build_codebook(ens, k=k)
+    if name == "k36-d40":
+        assert cb.code_dim > 36 and cb.spec.r == 2
+    table = build_huffman(length_distribution(ens, cb.base_lengths))
+    transcript = run_session(ens, cb, n=2000, seed=5)
+    assert len(transcript.outcomes) == len(ens.messages)
+    expected = []
+    for msg in ens.messages:
+        bits, payload = alice_send(cb, table, msg)
+        decoded = bob_receive(cb, table, bits, payload)
+        fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
+        expected.append(_outcome_bits(len(expected), msg.id, bits, payload, decoded, fidelity))
+    got = [
+        _outcome_bits(o.message_index, o.message_id, o.classical_bits, o.payload, o.decoded, o.fidelity)
+        for o in transcript.outcomes
+    ]
+    assert got == expected
+    # the stacked products are the plain matvecs a one-message encoder applies
+    units = np.array([m.unit_amps() for m in ens.messages])
+    codewords = encode_many(cb, units)
+    assert codewords.tobytes() == np.array([cb.encoder @ x for x in units]).tobytes()
+    assert decode_many(cb, codewords).tobytes() == np.array([cb.decoder @ c for c in codewords]).tobytes()
+
+
+def test_session_with_another_ensembles_codebook_names_the_unknown_message(ensemble):
+    other = build_codebook(random_ensemble(np.random.default_rng(0), 4, 6))
+    with pytest.raises(ValueError, match="message 'a'"):
+        run_session(ensemble, other, n=50, seed=1)
+
+
+def test_session_with_another_span_is_rejected():
+    ens = random_ensemble(np.random.default_rng(1), 6, 3)
+    other = build_codebook(random_ensemble(np.random.default_rng(2), 6, 3))  # same ids, another span
+    with pytest.raises(ValueError, match="vector lies outside the source space"):
+        run_session(ens, other, n=50, seed=1)
+
+
+def test_stacked_send_names_the_unknown_message(ensemble, codebook, table):
+    stranger = SourceMessage("zz", np.array([1, 0, 0, 0], dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="message 'zz' is unknown"):
+        alice_send_many(codebook, table, [ensemble.messages[0], stranger, ensemble.messages[1]])
+
+
+def test_stacked_send_checks_every_row_before_truncating(ensemble, codebook):
+    # base lengths claimed too short: the AMP_TOL tail test of truncate fires
+    short = dataclasses.replace(codebook, base_lengths={m.id: 0 for m in ensemble.messages})
+    with pytest.raises(ValueError, match="support beyond length 0"):
+        run_session(ensemble, short, n=50, seed=1)
+
+
+def test_stacked_receive_checks_each_header_against_its_payload(ensemble, codebook, table):
+    bits, payloads = alice_send_many(codebook, table, list(ensemble.messages[:5]))
+    assert payloads[0].spec != payloads[-1].spec
+    with pytest.raises(ValueError, match="header says"):
+        bob_receive_many(codebook, table, "".join(bits), payloads[::-1])
+    with pytest.raises(ValueError, match="trailing"):
+        bob_receive_many(codebook, table, "".join(bits) + bits[0], payloads)
+    decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
+    for msg, row in zip(ensemble.messages, decoded):
+        assert abs(np.vdot(msg.unit_amps(), row)) ** 2 >= 1 - 1e-12
