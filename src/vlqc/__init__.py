@@ -35,9 +35,8 @@ from .message_space import (
     length_probabilities,
     length_projector_indices,
     measure_length,
-    pad,
     significant_length,
-    truncate,
+    support_lengths,
 )
 from .metrics import (
     CompressionReport,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .message_space import AMP_TOL, RegisterSpec, VariableLengthState, significant_length
+from .message_space import RegisterSpec, VariableLengthState, significant_length, support_lengths
 
 DECODE_SUPPORT_TOL = 1e-10
 
@@ -88,6 +88,23 @@ def _independent(ensemble: SourceEnsemble):
     return units, [ensemble.messages[order[i]] for i in kept], rows
 
 
+def _encoder(basis: np.ndarray, dim: int) -> np.ndarray:
+    """The (dim, ambient_dim) matrix whose row i-1 is <omega_i| and whose rows past len(basis) are zero."""
+    encoder = np.zeros((dim, basis.shape[1]), dtype=complex)
+    encoder[: len(basis)] = np.conj(basis)
+    return encoder
+
+
+def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for each row of ``rows``, one matvec per row.
+
+    Not a gemm (``rows @ matrix.T``): a gemm rounds differently from
+    ``matrix @ row``. Base lengths and the sender's cut both read these
+    products, and stored transcripts pin their rounding.
+    """
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
 def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
     """Greedy maximal linearly independent subset, visited most probable first
     (input order breaks ties) and kept as by linalg.independent_rows."""
@@ -122,8 +139,7 @@ class Codebook:
             raise ValueError(f"basis size {basis.shape[0]} does not fit register of dim {self.spec.dim}")
         if not np.isfinite(basis).all():
             raise ValueError("basis contains NaN or Inf")
-        encoder = np.zeros((self.spec.dim, basis.shape[1]), dtype=complex)
-        encoder[: len(basis)] = np.conj(basis)
+        encoder = _encoder(basis, self.spec.dim)
         # a C-ordered copy: the layout fixes how decoder products round, and stored transcripts pin that
         decoder = encoder.conj().T.copy()
         for name, value in (("basis", basis), ("encoder", encoder), ("decoder", decoder)):
@@ -148,17 +164,16 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
 
     The register length is the smallest r with k^r >= dim span(messages).
     Base lengths record, per source message, the longest codeword component
-    its encoding touches; that is what the sender must announce. Codeword
-    lengths never decrease along the basis, so that is the significant length
-    of the last component above AMP_TOL.
+    its encoding touches; that is what the sender must announce. They are the
+    :func:`support_lengths` of the products the sender computes, per-row
+    encoder matvecs, so the sender's cut never meets amplitude the table left
+    out, however close to AMP_TOL a component rounds.
     """
     units, _, rows = _independent(ensemble)
-    d = len(rows)
-    spec = RegisterSpec(k=k, r=significant_length(d - 1, k))
-    supported = np.abs(units @ rows.conj().T) > AMP_TOL
+    spec = RegisterSpec(k=k, r=significant_length(len(rows) - 1, k))
+    lengths = support_lengths(_per_row(_encoder(rows, spec.dim), units), k).tolist()
     del units  # free the m x ambient_dim states before the codebook's matrices are allocated
-    last = np.where(supported.any(axis=1), d - 1 - supported[:, ::-1].argmax(axis=1), 0)
-    base_lengths = {msg.id: significant_length(int(i), k) for msg, i in zip(ensemble.messages, last)}
+    base_lengths = {msg.id: n for msg, n in zip(ensemble.messages, lengths)}
     return Codebook(spec=spec, basis=rows, base_lengths=base_lengths)
 
 
@@ -171,9 +186,7 @@ def encode_many(codebook: Codebook, x) -> np.ndarray:
         raise ValueError("encode input must be a unit vector")
     if not linalg.in_span(x, codebook.basis).all():
         raise ValueError("vector lies outside the source space")
-    # one matvec per row, not a gemm (x @ encoder.T): a gemm rounds differently
-    # from ``encoder @ row``, and stored transcripts pin that rounding
-    return np.matmul(codebook.encoder, x[:, :, None])[:, :, 0]
+    return _per_row(codebook.encoder, x)
 
 
 def encode(codebook: Codebook, x) -> VariableLengthState:
@@ -186,7 +199,7 @@ def decode_many(codebook: Codebook, amps: np.ndarray) -> np.ndarray:
     tail = amps[:, codebook.code_dim :]
     if tail.size and float(np.max(np.abs(tail))) > DECODE_SUPPORT_TOL:
         raise ValueError("state lies outside the code space")
-    return np.matmul(codebook.decoder, amps[:, :, None])[:, :, 0]  # per-row matvecs, as in encode_many
+    return _per_row(codebook.decoder, amps)
 
 
 def decode(codebook: Codebook, state: VariableLengthState) -> np.ndarray:

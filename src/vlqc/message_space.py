@@ -158,11 +158,23 @@ def expected_length(state: VariableLengthState) -> float:
     return float(sum(n * q for n, q in length_probabilities(state).items()))
 
 
+def support_lengths(amps: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``amps``, the significant length of its last component whose
+    magnitude exceeds AMP_TOL, or 0 when none does.
+
+    This is the one support rule: base lengths, the sender's tail test and the
+    verifier all apply it, and all to the same per-row encoder products, so
+    what the codebook tabulates is exactly what the sender can cut to.
+    """
+    present = np.abs(amps) > AMP_TOL
+    last = np.where(present.any(axis=1), present.shape[1] - 1 - present[:, ::-1].argmax(axis=1), 0)
+    return np.array([significant_length(int(i), k) for i in last], dtype=int)
+
+
 def base_length(state: VariableLengthState) -> int:
-    """Length of the longest component whose amplitude exceeds AMP_TOL, the
-    rule :func:`truncate` and the codebook's base lengths also apply."""
-    present = np.flatnonzero(np.abs(state.amps) > AMP_TOL)
-    return significant_length(int(present[-1]), state.spec.k) if present.size else 0
+    """Length of the longest component whose amplitude exceeds AMP_TOL:
+    :func:`support_lengths` of the one state."""
+    return int(support_lengths(state.amps[None], state.spec.k)[0])
 
 
 @dataclass(frozen=True)
@@ -196,37 +208,3 @@ def measure_length(state: VariableLengthState, rng) -> LengthMeasurementOutcome:
         probability=probs[outcome],
         collapsed=VariableLengthState(state.spec, collapsed),
     )
-
-
-def truncate(state: VariableLengthState, length: int) -> np.ndarray:
-    """Drop the leading all-zero digits, keeping the first k^length amplitudes.
-
-    Valid only when every component fits in ``length`` digits; raises if
-    measurable amplitude sits beyond the cut, which would lose information
-    and signals a base-length violation. ``length`` 0 yields the dim-1
-    empty payload.
-    """
-    if not 0 <= length <= state.spec.r:
-        raise ValueError(f"length {length} outside [0, {state.spec.r}]")
-    keep = state.spec.k**length
-    tail = state.amps[keep:]
-    if tail.size and float(np.max(np.abs(tail))) > AMP_TOL:
-        raise ValueError(f"state has support beyond length {length}")
-    return state.amps[:keep].copy()
-
-
-def pad(payload, spec: RegisterSpec) -> VariableLengthState:
-    """Embed a unit k^L payload into the k^r register by restoring leading zeros.
-
-    Inverse of :func:`truncate` on valid inputs.
-    """
-    payload = linalg.as_state(payload)
-    dim = payload.shape[0]
-    length = significant_length(dim - 1, spec.k)
-    if spec.k**length != dim:
-        raise ValueError(f"payload dimension {dim} is not a power of {spec.k}")
-    if length > spec.r:
-        raise ValueError(f"payload of length {length} exceeds register length {spec.r}")
-    amps = np.zeros(spec.dim, dtype=complex)
-    amps[:dim] = payload
-    return VariableLengthState(spec, amps)

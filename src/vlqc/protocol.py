@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import ensemble_hash
-from .message_space import AMP_TOL, RegisterSpec, VariableLengthState
+from .message_space import RegisterSpec, VariableLengthState, support_lengths
 from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
 
 FIDELITY_TOL = 1e-9
@@ -166,14 +166,13 @@ def alice_send_many(
     if None in bits:
         raise ValueError(f"length {bases[bits.index(None)]} is missing from the side-channel table")
     codewords = encode_many(codebook, [m.unit_amps() for m in messages])
-    keep = codebook.spec.k ** np.array(bases)
-    beyond = np.arange(codebook.spec.dim) >= keep[:, None]
-    cut = (np.abs(codewords) * beyond).max(axis=1) > AMP_TOL  # truncate's check, on every row
+    cut = support_lengths(codewords, codebook.spec.k) > bases  # checked on every row before any is cut
     if cut.any():
-        raise ValueError(f"state has support beyond length {bases[int(cut.argmax())]}")
+        i = int(cut.argmax())
+        raise ValueError(f"message {messages[i].id!r}: state has support beyond length {bases[i]}")
     return bits, [
-        VariableLengthState(RegisterSpec(codebook.spec.k, base), row[:size])
-        for base, size, row in zip(bases, keep.tolist(), codewords)
+        VariableLengthState(RegisterSpec(codebook.spec.k, base), row[: codebook.spec.k**base])
+        for base, row in zip(bases, codewords)
     ]
 
 

@@ -13,7 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook
+from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook, encode_many
+from .message_space import support_lengths
 from .metrics import compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
 from .protocol import check_tolerance, run_session, transcript_lines, verify_lossless
 from .reference_example import REFERENCE_K, reference_ensemble
@@ -146,7 +147,8 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
     Draws 20 pairs of random unit vectors in the span of the basis and checks, as
     matrix products, that the encoder keeps every inner product among them
     (within ``tol``), that the decoder returns each one, and that no message's
-    encoding has amplitude past its base length.
+    encoding, computed as the sender computes it, has support past its base
+    length.
     """
     check_tolerance(tol)
     x = random_units_in_span(rng, codebook.basis, 40)
@@ -157,10 +159,9 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
     fidelity = np.abs(np.sum(x.conj() * (encoded @ codebook.decoder.T), axis=1)) ** 2
     if float(fidelity.min()) < 1.0 - 1e-12:
         return False, "round-trip fidelity fell below 1 - 1e-12"
-    units = np.array([m.unit_amps() for m in ensemble.messages])
-    cut = [codebook.spec.k ** codebook.base_lengths[m.id] for m in ensemble.messages]
-    beyond = np.arange(codebook.spec.dim) >= np.array(cut)[:, None]
-    leaked = (np.abs(units @ codebook.encoder.T) * beyond).max(axis=1) > 1e-12
+    codewords = encode_many(codebook, [m.unit_amps() for m in ensemble.messages])
+    bases = [codebook.base_lengths[m.id] for m in ensemble.messages]
+    leaked = support_lengths(codewords, codebook.spec.k) > bases
     if leaked.any():
         msg = ensemble.messages[int(leaked.argmax())]
         return False, f"message {msg.id!r} has amplitude beyond its base length"

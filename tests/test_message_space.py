@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqc.message_space import (
+    AMP_TOL,
     RegisterSpec,
     VariableLengthState,
     base_length,
@@ -17,9 +18,8 @@ from vlqc.message_space import (
     length_probabilities,
     length_projector_indices,
     measure_length,
-    pad,
     significant_length,
-    truncate,
+    support_lengths,
 )
 
 SPEC22 = RegisterSpec(k=2, r=2)
@@ -183,12 +183,48 @@ def test_base_length_mixed_superposition():
 
 def test_base_length_ignores_rounding_residue_per_component():
     # two components of 8e-13 in the length-3 block: each is residue, though the
-    # block's probability 1.28e-24 exceeds AMP_TOL**2; truncate agrees
+    # block's probability 1.28e-24 exceeds AMP_TOL**2
     spec = RegisterSpec(k=2, r=3)
     amps = np.array([0, 1, 0, 0, 8e-13, 8e-13, 0, 0], dtype=complex)
     state = VariableLengthState(spec, amps / np.linalg.norm(amps))
     assert base_length(state) == 1
-    truncate(state, 1)  # must not raise
+
+
+@pytest.mark.parametrize("k", [2, 3, 36])
+@pytest.mark.parametrize("index_offset", [-1, 0])
+def test_support_rule_at_the_threshold(k, index_offset):
+    # a component of exactly AMP_TOL is residue, the next float above it is
+    # support; index k^L - 1 has L digits and index k^L has L + 1
+    length, spec = 2, RegisterSpec(k=k, r=3)
+    index = k**length + index_offset
+    rows = np.zeros((2, spec.dim), dtype=complex)
+    rows[:, 1] = 1.0
+    rows[0, index] = AMP_TOL
+    rows[1, index] = np.nextafter(AMP_TOL, 1)
+    states = [VariableLengthState(spec, row) for row in rows]
+    expected = [1, length + 1 + index_offset]
+    assert [base_length(state) for state in states] == expected
+    assert support_lengths(rows, k).tolist() == expected
+
+
+def test_support_lengths_of_an_all_zero_tail_is_zero():
+    rows = np.zeros((3, 9), dtype=complex)
+    rows[1, 0] = 1.0
+    rows[2, 0], rows[2, 1:] = 1.0, AMP_TOL
+    assert support_lengths(rows, 3).tolist() == [0, 0, 0]
+    assert base_length(VariableLengthState(RegisterSpec(k=3, r=2), rows[2])) == 0
+
+
+def test_support_lengths_of_a_stack_is_base_length_per_row():
+    rng = np.random.default_rng(12)
+    spec = RegisterSpec(k=3, r=3)
+    rows = rng.normal(size=(40, spec.dim)) + 1j * rng.normal(size=(40, spec.dim))
+    for row, cut in zip(rows, rng.integers(1, spec.dim + 1, size=40)):
+        row[cut:] *= rng.choice([0.0, AMP_TOL, 2 * AMP_TOL])
+        row /= np.linalg.norm(row)
+    expected = [base_length(VariableLengthState(spec, row)) for row in rows]
+    assert len(set(expected)) > 2
+    assert support_lengths(rows, spec.k).tolist() == expected
 
 
 def test_base_length_matches_codebook_base_lengths():
@@ -248,73 +284,6 @@ def test_measure_length_empirical_frequencies():
     hits = sum(measure_length(state, rng).length == 1 for _ in range(samples))
     stderr = math.sqrt(0.5 * 0.5 / samples)
     assert abs(hits / samples - 0.5) <= 3 * stderr
-
-
-def test_truncate_reference_codeword():
-    # encoding of the second reference message, truncated to one digit
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 5 / (2 * math.sqrt(7))
-    amps[1] = 3 / (2 * math.sqrt(21))
-    state = VariableLengthState(SPEC22, amps)
-    payload = truncate(state, 1)
-    np.testing.assert_allclose(payload, amps[:2])
-    assert np.linalg.norm(payload) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_truncate_to_empty_payload():
-    payload = truncate(basis_state(SPEC22, 0), 0)
-    assert payload.shape == (1,)
-    assert payload[0] == 1.0
-
-
-def test_truncate_full_length_is_identity():
-    state = superposition(SPEC22, 0, 1, 2, 3)
-    np.testing.assert_allclose(truncate(state, 2), state.amps)
-
-
-def test_truncate_support_violation_raises():
-    with pytest.raises(ValueError, match="support"):
-        truncate(superposition(SPEC22, 1, 3), 1)
-
-
-def test_pad_empty_payload():
-    state = pad(np.array([1.0 + 0j]), SPEC22)
-    np.testing.assert_allclose(state.amps, [1, 0, 0, 0])
-
-
-def test_pad_embeds_low_indices():
-    payload = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    state = pad(payload, SPEC22)
-    np.testing.assert_allclose(state.amps, [payload[0], payload[1], 0, 0])
-
-
-def test_pad_full_length_identity():
-    state = superposition(SPEC22, 0, 3)
-    np.testing.assert_allclose(pad(state.amps, SPEC22).amps, state.amps)
-
-
-def test_pad_rejects_non_power_dimension():
-    with pytest.raises(ValueError, match="power"):
-        pad(np.array([1, 0, 0], dtype=complex), SPEC22)
-
-
-def test_pad_rejects_oversized_payload():
-    with pytest.raises(ValueError, match="register"):
-        pad(np.eye(8, dtype=complex)[0], SPEC22)
-
-
-@given(st.integers(0, 10_000), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_pad_inverts_truncate(seed, length):
-    spec = RegisterSpec(k=2, r=3)
-    rng = np.random.default_rng(seed)
-    keep = spec.k**length
-    amps = np.zeros(spec.dim, dtype=complex)
-    amps[:keep] = rng.normal(size=keep) + 1j * rng.normal(size=keep)
-    amps /= np.linalg.norm(amps)
-    state = VariableLengthState(spec, amps)
-    round_tripped = pad(truncate(state, length), spec)
-    np.testing.assert_allclose(round_tripped.amps, state.amps, atol=1e-12)
 
 
 def test_state_requires_unit_norm():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vlqc import verify
-from vlqc.message_space import RegisterSpec, VariableLengthState
+from vlqc.linalg import independent_rows
+from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
 from vlqc.protocol import (
     SessionTranscript,
     alice_send,
@@ -24,7 +25,7 @@ from vlqc.protocol import (
 from vlqc.reference_example import reference_codebook, reference_ensemble
 from vlqc.sidechannel import build_huffman, length_distribution
 from vlqc.verify import near_dependent_ensemble, random_ensemble
-from vlqc.codec import SourceMessage, build_codebook, decode_many, encode_many
+from vlqc.codec import SourceEnsemble, SourceMessage, build_codebook, decode_many, encode_many
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +519,7 @@ def test_stacked_send_names_the_unknown_message(ensemble, codebook, table):
 
 
 def test_stacked_send_checks_every_row_before_truncating(ensemble, codebook):
-    # base lengths claimed too short: the AMP_TOL tail test of truncate fires
+    # base lengths claimed too short: the sender's AMP_TOL tail test fires
     short = dataclasses.replace(codebook, base_lengths={m.id: 0 for m in ensemble.messages})
     with pytest.raises(ValueError, match="support beyond length 0"):
         run_session(ensemble, short, n=50, seed=1)
@@ -534,3 +535,36 @@ def test_stacked_receive_checks_each_header_against_its_payload(ensemble, codebo
     decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
     for msg, row in zip(ensemble.messages, decoded):
         assert abs(np.vdot(msg.unit_amps(), row)) ** 2 >= 1 - 1e-12
+
+
+def test_stacked_send_tail_error_names_the_message(ensemble, codebook, table):
+    short = dataclasses.replace(codebook, base_lengths={**codebook.base_lengths, "b": 0})
+    with pytest.raises(ValueError, match="message 'b': state has support beyond length 0"):
+        alice_send_many(short, table, [ensemble.find("a"), ensemble.find("b")])
+
+
+def test_base_lengths_are_what_the_sender_cuts_to_at_the_amp_tol_edge():
+    # 48 random states fix the basis; a least probable 49th message x = c @ basis
+    # has one coefficient within a few ulps of AMP_TOL at index 40 (6 digits), so
+    # its base length is 3 or 6 depending only on how the product rounds
+    rng = np.random.default_rng(0)
+    d = 48
+    probs = np.linspace(2, 1, d)
+    probs *= 0.99 / probs.sum()
+    states = [
+        SourceMessage(f"m{i}", rng.normal(size=d) + 1j * rng.normal(size=d), float(p))
+        for i, p in enumerate(probs)
+    ]
+    _, basis = independent_rows(m.unit_amps() for m in states)
+    for member in range(60):
+        c = np.zeros(d, dtype=complex)
+        c[:5] = verify.random_unit(rng, 5)
+        c[40] = AMP_TOL * (1 + rng.uniform(-4e-15, 4e-15)) * np.exp(2j * np.pi * rng.random())
+        ens = SourceEnsemble(tuple(states) + (SourceMessage("x", c @ basis, 0.01),), d)
+        codebook = build_codebook(ens)
+        table = build_huffman(length_distribution(ens, codebook.base_lengths))
+        alice_send_many(codebook, table, list(ens.messages))  # must not raise
+        units = [m.unit_amps() for m in ens.messages]
+        lengths = support_lengths(encode_many(codebook, units), codebook.spec.k).tolist()
+        assert lengths == [codebook.base_lengths[m.id] for m in ens.messages]
+        assert verify.check_session(ens, codebook, n=2000, seed=member, tol=1e-9) == (True, "ok")
