@@ -34,8 +34,8 @@ class SourceMessage:
         amps = linalg.as_state(self.amps)
         try:
             unit = linalg.normalize(amps)
-        except ValueError:
-            raise ValueError(f"message {self.id!r} has a near-zero amplitude vector") from None
+        except ValueError as exc:
+            raise ValueError(f"message {self.id!r}: {exc}") from None
         if not self.probability > 0.0:
             raise ValueError(f"message {self.id!r} must have positive probability")
         amps = amps.copy()

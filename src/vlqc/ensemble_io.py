@@ -174,12 +174,36 @@ def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# The {"id", "p"} tail of each canonical message object; ids are escaped and
+# probabilities rendered by the same encoder json.dumps would use.
+_TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_pieces(ensemble: SourceEnsemble):
+    """The canonical bytes in order, one message at a time.
+
+    Equal to compact sorted-key json.dumps of _content_document: "amps" sorts
+    before "id" and "p", and %r of a finite float is the float repr the JSON
+    encoder writes, so each message is written straight from its stored row.
+    """
+    d = ensemble.ambient_dim
+    message = '{"amps":[' + ",".join(["[%r,%r]"] * d) + "],%s"
+    yield b'{"ambientDim":%d,"messages":[' % d
+    for pos, m in enumerate(ensemble.messages):
+        tail = _TAIL_ENCODER.encode({"id": m.id, "p": m.probability})[1:]
+        piece = message % (*m.amps.view(np.float64).tolist(), tail)
+        yield (piece if pos == 0 else "," + piece).encode("utf-8")
+    yield b"]}"
+
+
 def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
     """Canonical byte serialization of the ensemble content (k-independent)."""
-    doc = _content_document(ensemble)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(_canonical_pieces(ensemble))
 
 
 def ensemble_hash(ensemble: SourceEnsemble) -> str:
     """Hex digest identifying the ensemble, stable across runs and formatting."""
-    return hashlib.sha256(canonical_ensemble_bytes(ensemble)).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(ensemble):
+        digest.update(piece)
+    return digest.hexdigest()

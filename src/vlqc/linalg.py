@@ -7,6 +7,7 @@ their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -48,11 +49,14 @@ def is_unit(v) -> bool:
 
 
 def normalize(v) -> np.ndarray:
-    """v / ||v||; rejects near-zero input."""
+    """v / ||v||; rejects near-zero input and input whose norm overflows a float."""
     v = as_state(v)
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
     if n <= ZERO_TOL:
         raise ValueError("cannot normalize a near-zero vector")
+    if not math.isfinite(n):
+        raise ValueError("cannot normalize a vector whose norm overflows a float")
     return v / n
 
 

@@ -1,20 +1,24 @@
-"""Smoke run of the benchmark harness on its smallest workload."""
+"""Smoke runs of the benchmark harness on its smallest workloads."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reference_session_smoke_run_has_no_failed_checks():
+# wide_ensemble takes the harness through parse, hash and transcript at d > 4
+@pytest.mark.parametrize("workload", ["reference_session", "wide_ensemble"])
+def test_smoke_run_has_no_failed_checks(workload):
     # traced, so that the record view and side-channel paths the traced
     # decomposition reads are exercised too
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
-            "--workload", "reference_session", "--smoke", "--seconds", "1", "--trace", "1",
+            "--workload", workload, "--smoke", "--seconds", "1", "--trace", "1",
         ],
         cwd=ROOT,
         capture_output=True,

@@ -255,8 +255,15 @@ def test_unit_amps_is_one_stored_read_only_state(source):
 
 
 def test_zero_message_is_rejected():
-    with pytest.raises(ValueError, match="message 'z' has a near-zero amplitude vector"):
+    with pytest.raises(ValueError, match="message 'z': cannot normalize a near-zero vector"):
         SourceMessage("z", np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("amps", [[1e200, 0], [1e155, 1e155j], [1e308, 1e308]])
+def test_message_whose_norm_overflows_is_rejected(amps):
+    # the norm used to overflow to inf, warn, and leave an all-zero "unit" state
+    with pytest.raises(ValueError, match="message 'a': .*norm overflows a float"):
+        SourceMessage("a", np.array(amps), 1.0)
 
 
 def test_random_ensembles_round_trip():

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
     canonical_ensemble_bytes,
@@ -106,6 +111,99 @@ def test_reference_hash_is_pinned():
     assert ensemble_hash(reference_ensemble()) == (
         "4e2d74f96dad39efe4d0ce03716b2dec666a09a13a6091858457c02c05562484"
     )
+
+
+def _realistic_ensemble():
+    """d = 64, m = 96 of normalized floats, shaped like the benchmark's ensembles."""
+    rng = np.random.default_rng(20240611)
+    d, m = 64, 96
+    probs = rng.random(m) + 0.05
+    probs /= probs.sum()
+    amps = rng.normal(size=(m, d, 2))
+    doc = {
+        "k": 2,
+        "ambientDim": d,
+        "messages": [{"id": f"m{i}", "p": float(probs[i]), "amps": amps[i].tolist()} for i in range(m)],
+    }
+    return parse_ensemble(json.dumps(doc)).ensemble
+
+
+def test_realistic_shape_hash_is_pinned():
+    assert ensemble_hash(_realistic_ensemble()) == (
+        "49ad60b527177c9d040f6fa986603f7f0a066c5f393cd1afae518755fda314c0"
+    )
+
+
+def test_hash_holds_one_message_at_a_time():
+    ensemble = _realistic_ensemble()
+    size = len(canonical_ensemble_bytes(ensemble))
+    tracemalloc.start()
+    try:
+        ensemble_hash(ensemble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the whole document and its nested pair lists peaks at about 8x its size
+    assert peak < size / 4
+
+
+def _document_bytes(ensemble):
+    """The canonical bytes as the whole-document JSON encoding defines them."""
+    doc = {
+        "ambientDim": ensemble.ambient_dim,
+        "messages": [
+            {"id": m.id, "p": m.probability, "amps": m.amps.view(np.float64).reshape(-1, 2).tolist()}
+            for m in ensemble.messages
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+# signed zero, the smallest subnormal and normal, extremes whose squares still
+# fit, the points where repr switches notation, and integral floats
+EDGE_COMPONENTS = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e150, -1e150, 1e-150, -1e-150,
+    1e16, 9999999999999998.0, 1e-5, 1e-4, 1.0, -3.0,
+]
+components = st.sampled_from(EDGE_COMPONENTS) | st.floats(-1e150, 1e150)
+message_ids = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "漢", "😀"]) | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def edge_ensembles(draw):
+    d = draw(st.sampled_from([1, 2, 7]))
+    m = draw(st.sampled_from([1, 3]))
+    ids = draw(st.lists(message_ids, min_size=m, max_size=m, unique=True))
+    rows = [
+        draw(
+            st.lists(components, min_size=2 * d, max_size=2 * d).filter(
+                lambda xs: np.linalg.norm(xs) > 1e-12
+            )
+        )
+        for _ in range(m)
+    ]
+    if m == 1:
+        probs = [draw(st.sampled_from([1, 1.0, np.float64(1.0)]))]
+    else:
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+        kinds = draw(st.lists(st.sampled_from([float, np.float64]), min_size=m, max_size=m))
+        probs = [kind(w) for kind, w in zip(kinds, weights / weights.sum())]
+    messages = tuple(
+        SourceMessage(i, np.array(row, dtype=np.float64).view(complex), p)
+        for i, row, p in zip(ids, rows, probs)
+    )
+    return SourceEnsemble(messages=messages, ambient_dim=d)
+
+
+@given(edge_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_canonical_bytes_match_the_document_encoding(ensemble):
+    expected = _document_bytes(ensemble)
+    assert canonical_ensemble_bytes(ensemble) == expected
+    assert ensemble_hash(ensemble) == hashlib.sha256(expected).hexdigest()
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true", '"1"'])

@@ -88,6 +88,11 @@ def test_normalize_near_zero_raises():
         normalize([1e-13, 0, 0])
 
 
+def test_normalize_norm_overflow_raises():
+    with pytest.raises(ValueError, match="norm overflows a float"):
+        normalize([1e200, 1e200j])
+
+
 def test_gram_schmidt_reference_vectors():
     basis = gram_schmidt([normalize(v) for v in (A, B, E, F)])
     assert len(basis) == 4
