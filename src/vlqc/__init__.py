@@ -54,7 +54,6 @@ from .metrics import (
     von_neumann_entropy,
 )
 from .protocol import (
-    MessageOutcome,
     SessionTranscript,
     TransmissionRecord,
     alice_send,

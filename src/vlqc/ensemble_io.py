@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ def parse_ensemble(text: str) -> EnsembleFile:
         if norm == math.inf:
             raise EnsembleFormatError(f"{where}.amps: norm overflows a float")
         if normalize:
-            amps = linalg.normalize(amps)
+            amps = amps / norm  # what linalg.normalize computes, without taking the norm again
         messages.append((msg_id, amps, p))
 
     total = sum(p for _, _, p in messages)
@@ -174,9 +175,17 @@ def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# The {"id", "p"} tail of each canonical message object; ids are escaped and
-# probabilities rendered by the same encoder json.dumps would use.
+# The {"id", "p"} tail of a canonical message object whose probability is not
+# a float (an int, say); it escapes and renders as json.dumps would.
 _TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _message_tail(m: SourceMessage) -> str:
+    """``"id":...,"p":...}``: the id escaped as json.dumps escapes it and a float
+    probability as its repr, which is the JSON encoder's float text."""
+    if isinstance(m.probability, float):
+        return '"id":' + encode_basestring_ascii(m.id) + ',"p":' + float.__repr__(m.probability) + "}"
+    return _TAIL_ENCODER.encode({"id": m.id, "p": m.probability})[1:]
 
 
 def _canonical_pieces(ensemble: SourceEnsemble):
@@ -190,8 +199,7 @@ def _canonical_pieces(ensemble: SourceEnsemble):
     message = '{"amps":[' + ",".join(["[%r,%r]"] * d) + "],%s"
     yield b'{"ambientDim":%d,"messages":[' % d
     for pos, m in enumerate(ensemble.messages):
-        tail = _TAIL_ENCODER.encode({"id": m.id, "p": m.probability})[1:]
-        piece = message % (*m.amps.view(np.float64).tolist(), tail)
+        piece = message % (*m.amps.view(np.float64).tolist(), _message_tail(m))
         yield (piece if pos == 0 else "," + piece).encode("utf-8")
     yield b"]}"
 

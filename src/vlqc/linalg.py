@@ -44,10 +44,6 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def is_unit(v) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_TOL
-
-
 def normalize(v) -> np.ndarray:
     """v / ||v||; rejects near-zero input and input whose norm overflows a float."""
     v = as_state(v)

@@ -11,6 +11,7 @@ index blocks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,26 @@ DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 AMP_TOL = 1e-12
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is a Python or numpy integer other than a bool, else ``ValueError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RegisterSpec:
-    """A register of ``r`` quantum digits, each of dimension ``k``."""
+    """A register of ``r`` quantum digits, each of dimension ``k``; both are stored as int."""
 
     k: int
     r: int
 
     def __post_init__(self):
+        # 2.0 or True would otherwise pass every comparison below and give a float or bool dim
+        object.__setattr__(self, "k", _integer("letter dimension k", self.k))
+        object.__setattr__(self, "r", _integer("register length r", self.r))
         if self.k < 2:
             raise ValueError("letter dimension k must be >= 2")
         if self.k > len(DIGIT_ALPHABET):
@@ -124,6 +137,24 @@ def length_projector_indices(n: int, spec: RegisterSpec) -> range:
     return range(spec.k ** (n - 1), spec.k**n)
 
 
+def unit_rows(rows: Sequence[np.ndarray]) -> bool:
+    """Whether every row of ``rows`` (nonempty 1-d complex arrays, any lengths)
+    has a norm within UNIT_TOL of 1.
+
+    The one unit test for register states: a :class:`VariableLengthState`
+    applies it to its one row, a session transcript to all its payloads at
+    once. NaN or Inf in a row, or a square that overflows, fails the test.
+    """
+    starts, end = [], 0
+    for row in rows:
+        starts.append(end)
+        end += 2 * row.size
+    flat = np.concatenate(rows).view(np.float64)  # each row's re, im components, row after row
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduceat(flat * flat, starts))
+        return bool((abs(norms - 1.0) <= linalg.UNIT_TOL).all())
+
+
 @dataclass(frozen=True)
 class VariableLengthState:
     """Unit amplitude vector over the k^r register basis."""
@@ -137,7 +168,7 @@ class VariableLengthState:
             raise ValueError(
                 f"amplitude vector has dim {amps.shape[0]}, register needs {self.spec.dim}"
             )
-        if not linalg.is_unit(amps):
+        if not unit_rows([amps]):
             raise ValueError("state is not unit norm")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import ensemble_hash
-from .message_space import RegisterSpec, VariableLengthState, support_lengths
+from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
 from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
 
 FIDELITY_TOL = 1e-9
@@ -51,69 +52,91 @@ class TransmissionRecord:
     fidelity: float
 
 
-@dataclass(frozen=True)
-class MessageOutcome:
-    """One distinct message's transmission; every draw of that message reuses it.
-
-    The sender knows the message, so its length codeword, truncated payload
-    and the receiver's output are fixed by the message, not by the draw.
-    ``message_index`` is the message's position in the ensemble.
-    """
-
-    message_index: int
-    message_id: str
-    classical_bits: str
-    payload: VariableLengthState
-    decoded: np.ndarray
-    fidelity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        decoded = linalg.as_state(self.decoded).copy()
-        decoded.flags.writeable = False
-        object.__setattr__(self, "decoded", decoded)
+def _read_only(a, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype`` that nobody can write through: kept if it
+    already is read-only, else copied and frozen."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """A session as a per-message table plus the draw order; immutable.
+    """A session as one table over the distinct messages drawn, plus the draw order; immutable.
 
-    ``outcomes`` holds one entry per distinct message drawn, in ensemble
-    order; ``picks[i]`` is the ensemble index of the message sent at step i.
-    The session totals are derived from the table and the draw counts.
-    ``records`` expands this into one :class:`TransmissionRecord` per draw.
+    Row j of the table is one distinct message drawn, in ensemble order:
+    ``message_indices[j]`` is its position in the ensemble, ``message_ids[j]``
+    its id, ``classical_bits[j]`` its length codeword, ``payloads[j]`` its
+    codeword cut to the k^L amplitudes of its base length L, ``decoded[j]``
+    the receiver's output and ``fidelities[j]`` that output's fidelity
+    against the message. The sender knows the message, so every draw of it
+    reuses its row. ``picks[i]`` is the ensemble index of the message sent at
+    step i. The session totals are derived from the table and the draw
+    counts; ``records`` expands it into one :class:`TransmissionRecord` per draw.
     """
 
     spec: RegisterSpec
     seed: int
     ensemble_hash: str
-    outcomes: tuple[MessageOutcome, ...]
     picks: np.ndarray
-    # position in ``outcomes`` of each draw's message, and each outcome's draw count
+    message_indices: np.ndarray
+    message_ids: tuple[str, ...]
+    classical_bits: tuple[str, ...]
+    payloads: tuple[np.ndarray, ...]
+    decoded: np.ndarray
+    fidelities: np.ndarray
+    # each row's base length, the row of each draw's message, and each row's draw count
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slots: np.ndarray = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        outcomes = tuple(self.outcomes)
         picks = np.array(self.picks, dtype=np.intp)
-        picks.flags.writeable = False
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "picks", picks)
+        indices = np.array(self.message_indices, dtype=np.intp)
+        ids, bits = tuple(self.message_ids), tuple(self.classical_bits)
+        payloads = tuple([_read_only(p, complex) for p in self.payloads])
+        decoded = _read_only(self.decoded, complex)
+        fidelities = _read_only(self.fidelities, float)
         if picks.ndim != 1 or picks.size == 0:
             raise ValueError("transcript has no draws")
-        drawn = np.array([o.message_index for o in outcomes], dtype=np.intp)
-        if drawn.size == 0 or drawn[0] < 0 or (np.diff(drawn) <= 0).any():
-            raise ValueError("outcomes must be one per message, in ensemble order")
-        slots = np.searchsorted(drawn, picks)
-        if (slots == drawn.size).any() or (drawn[slots] != picks).any():
-            raise ValueError("a draw has no outcome")
-        counts = np.bincount(slots, minlength=drawn.size)
+        drawn = indices.tolist() if indices.ndim == 1 else []
+        if not drawn or drawn[0] < 0 or any(a >= b for a, b in zip(drawn, drawn[1:])):
+            raise ValueError("table rows must be one per message, in ensemble order")
+        if decoded.ndim != 2 or fidelities.ndim != 1 or {
+            len(ids), len(bits), len(payloads), len(decoded), len(fidelities)
+        } != {len(drawn)}:
+            raise ValueError("table columns must have one entry per row")
+        slots = np.searchsorted(indices, picks)
+        # a pick past the last row gets slot len(drawn), which "clip" maps onto another message
+        if (indices.take(slots, mode="clip") != picks).any():
+            raise ValueError("a draw has no table row")
+        counts = np.bincount(slots, minlength=len(drawn))
         if not counts.all():
-            raise ValueError("an outcome was never drawn")
-        slots.flags.writeable = counts.flags.writeable = False
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_counts", counts)
+            raise ValueError("a table row was never drawn")
+        if not all(isinstance(i, str) for i in ids):
+            raise ValueError("message ids must be strings")
+        # the line writer prints the bits unescaped
+        if any(not isinstance(b, str) or b.strip("01") for b in bits):
+            raise ValueError("classical bits must be strings of 0 and 1")
+        register = {self.spec.k**length: length for length in range(self.spec.r + 1)}
+        lengths = tuple([register.get(p.size, -1) if p.ndim == 1 else -1 for p in payloads])
+        if -1 in lengths:
+            raise ValueError(f"a payload does not hold k^L amplitudes for a base length L <= {self.spec.r}")
+        if not unit_rows(payloads):
+            raise ValueError("a payload is not unit norm")
+        if not np.isfinite(decoded).all():
+            raise ValueError("decoded states contain NaN or Inf")
+        if not all(0.0 <= f <= 1.0 + 1e-12 for f in fidelities.tolist()):
+            raise ValueError("a fidelity lies outside [0, 1]")
+        picks.flags.writeable = indices.flags.writeable = slots.flags.writeable = counts.flags.writeable = False
+        for name, value in zip(
+            ("picks", "message_indices", "message_ids", "classical_bits", "payloads", "decoded", "fidelities",
+             "_lengths", "_slots", "_counts"),
+            (picks, indices, ids, bits, payloads, decoded, fidelities, lengths, slots, counts),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -123,25 +146,33 @@ class SessionTranscript:
     @property
     def total_qubits(self) -> int:
         """Quantum digits sent over the whole session."""
-        return int(self._counts @ [o.payload.spec.r for o in self.outcomes])
+        return int(self._counts @ self._lengths)
 
     @property
     def total_classical_bits(self) -> int:
         """Side-channel bits sent over the whole session."""
-        return int(self._counts @ [len(o.classical_bits) for o in self.outcomes])
+        return int(self._counts @ [len(b) for b in self.classical_bits])
 
     @cached_property
     def mean_fidelity(self) -> float:
         """Fidelity summed over the draws in send order, as a per-draw loop would, over n."""
-        fidelities = np.array([o.fidelity for o in self.outcomes])
-        return sum(fidelities[self._slots].tolist()) / self.n
+        return sum(self.fidelities[self._slots].tolist()) / self.n
 
     @cached_property
     def records(self) -> tuple[TransmissionRecord, ...]:
-        """One record per draw, in send order, built from the table on first access."""
+        """One record per draw, in send order, built from the table on first access;
+        the draws of one message share its payload state and decoded row."""
+        k = self.spec.k
         rows = [
-            (o.message_id, o.payload.spec.r, o.classical_bits, o.payload, o.decoded, o.fidelity)
-            for o in self.outcomes
+            (message_id, length, bits, VariableLengthState(RegisterSpec(k, length), payload), decoded, fidelity)
+            for message_id, length, bits, payload, decoded, fidelity in zip(
+                self.message_ids,
+                self._lengths,
+                self.classical_bits,
+                self.payloads,
+                self.decoded,
+                self.fidelities.tolist(),
+            )
         ]
         return tuple(
             TransmissionRecord(index, *rows[slot]) for index, slot in enumerate(self._slots.tolist())
@@ -149,16 +180,16 @@ class SessionTranscript:
 
     def side_channel_stream(self) -> str:
         """The full classical bit stream of the session, in send order."""
-        words = [o.classical_bits for o in self.outcomes]
+        words = self.classical_bits
         return "".join([words[slot] for slot in self._slots.tolist()])
 
 
 def alice_send_many(
     codebook: Codebook, table: PrefixCodeTable, messages: list[SourceMessage]
-) -> tuple[list[str], list[VariableLengthState]]:
-    """Each message's length codeword and its codeword truncated to the tabulated
-    base length, as a payload on a register of base-length digits (none for base
-    length 0): one encoder product over the stacked unit states."""
+) -> tuple[list[str], list[np.ndarray]]:
+    """Each message's length codeword and its codeword truncated to the k^L
+    amplitudes of its tabulated base length L: one encoder product over the
+    stacked unit states, whose rows the payloads are read-only views of."""
     bases = [codebook.base_lengths.get(m.id) for m in messages]
     if None in bases:
         raise ValueError(f"message {messages[bases.index(None)].id!r} is unknown to this codebook")
@@ -170,39 +201,44 @@ def alice_send_many(
     if cut.any():
         i = int(cut.argmax())
         raise ValueError(f"message {messages[i].id!r}: state has support beyond length {bases[i]}")
-    return bits, [
-        VariableLengthState(RegisterSpec(codebook.spec.k, base), row[: codebook.spec.k**base])
-        for base, row in zip(bases, codewords)
-    ]
+    codewords.flags.writeable = False
+    k = codebook.spec.k
+    return bits, [row[: k**base] for base, row in zip(bases, codewords)]
 
 
 def alice_send(
     codebook: Codebook, table: PrefixCodeTable, message: SourceMessage
 ) -> tuple[str, VariableLengthState]:
-    """:func:`alice_send_many` for one message."""
-    [bits], [payload] = alice_send_many(codebook, table, [message])
-    return bits, payload
+    """:func:`alice_send_many` for one message, its payload on a register of base-length digits."""
+    [bits], [row] = alice_send_many(codebook, table, [message])
+    return bits, VariableLengthState(RegisterSpec(codebook.spec.k, codebook.base_lengths[message.id]), row)
 
 
 def bob_receive_many(
-    codebook: Codebook, table: PrefixCodeTable, stream: str, payloads: list[VariableLengthState]
+    codebook: Codebook, table: PrefixCodeTable, stream: str, payloads: list[np.ndarray]
 ) -> np.ndarray:
-    """Decode one length header per payload from the stream, restore leading zero
-    digits, and invert the encoder: one decoder product over the stacked payloads."""
+    """Decode one length header per payload row from the stream, check that the
+    row holds k^length amplitudes, restore leading zero digits, and invert the
+    encoder: one decoder product over the stacked payloads."""
     lengths = decode_lengths(table, stream, len(payloads))
+    k = codebook.spec.k
     padded = np.zeros((len(payloads), codebook.spec.dim), dtype=complex)
     for row, length, payload in zip(padded, lengths, payloads):
-        if payload.spec != RegisterSpec(codebook.spec.k, length):
-            raise ValueError(f"header says {length} digits but payload is on {payload.spec}")
-        row[: payload.amps.size] = payload.amps
+        if payload.size != k**length:
+            raise ValueError(f"header says {length} digits but payload has {payload.size} amplitudes")
+        row[: payload.size] = payload
     return decode_many(codebook, padded)
 
 
 def bob_receive(
     codebook: Codebook, table: PrefixCodeTable, bits: str, payload: VariableLengthState
 ) -> np.ndarray:
-    """:func:`bob_receive_many` for one payload and its length header."""
-    return bob_receive_many(codebook, table, bits, [payload])[0]
+    """:func:`bob_receive_many` for one payload and its length header; the
+    payload's digits must also have the codebook's dimension k."""
+    decoded = bob_receive_many(codebook, table, bits, [payload.amps])[0]
+    if payload.spec.k != codebook.spec.k:
+        raise ValueError(f"payload is on {payload.spec}, the codebook sends base-{codebook.spec.k} digits")
+    return decoded
 
 
 def run_session(
@@ -225,16 +261,22 @@ def run_session(
     uniforms = np.random.default_rng(seed).random(n)
     picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), m - 1)
 
-    drawn = np.flatnonzero(np.bincount(picks, minlength=m)).tolist()
-    messages = [ensemble.messages[i] for i in drawn]
+    drawn = np.flatnonzero(np.bincount(picks, minlength=m))
+    messages = [ensemble.messages[i] for i in drawn.tolist()]
     bits, payloads = alice_send_many(codebook, table, messages)
     decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
-    outcomes = tuple(
-        # one vdot per outcome: a batched product rounds the fidelity differently
-        MessageOutcome(i, msg.id, b, p, row, float(abs(np.vdot(msg.unit_amps(), row)) ** 2))
-        for i, msg, b, p, row in zip(drawn, messages, bits, payloads, decoded)
+    decoded.flags.writeable = False
+    # one vdot per row: a batched product rounds the fidelity differently
+    fidelities = np.array([abs(np.vdot(msg.unit_amps(), row)) ** 2 for msg, row in zip(messages, decoded)])
+    return SessionTranscript(
+        codebook.spec, seed, ensemble_hash(ensemble), picks,
+        message_indices=drawn,
+        message_ids=tuple(msg.id for msg in messages),
+        classical_bits=tuple(bits),
+        payloads=tuple(payloads),
+        decoded=decoded,
+        fidelities=fidelities,
     )
-    return SessionTranscript(codebook.spec, seed, ensemble_hash(ensemble), outcomes, picks)
 
 
 def verify_lossless(
@@ -242,19 +284,44 @@ def verify_lossless(
 ) -> bool:
     """Every decoded message reproduces its source with fidelity >= 1 - tol.
 
-    Each distinct message is checked once, against the ensemble message at its
-    ``message_index``, whose id it must carry; the transcript guarantees that
-    every draw maps to one of these outcomes.
+    Each table row is checked once, against the ensemble message at its
+    message index, whose id it must carry; the transcript guarantees that
+    every draw maps to one of these rows.
     """
     check_tolerance(tol)
     messages = ensemble.messages
-    for o in transcript.outcomes:
-        source = messages[o.message_index] if 0 <= o.message_index < len(messages) else None
-        if source is None or source.id != o.message_id:
+    for index, message_id, row in zip(
+        transcript.message_indices.tolist(), transcript.message_ids, transcript.decoded
+    ):
+        source = messages[index] if 0 <= index < len(messages) else None
+        if source is None or source.id != message_id:
             return False
-        if abs(np.vdot(source.unit_amps(), o.decoded)) ** 2 < 1.0 - tol:
+        if abs(np.vdot(source.unit_amps(), row)) ** 2 < 1.0 - tol:
             return False
     return True
+
+
+# The halves of a record line around its index: the sorted-key json.dumps of
+# the draw's object, written by template. The bits are 0/1 text, the fidelity
+# a finite float and the payload a nested list of finite floats, whose %r is
+# their JSON text with the default separators; the id is escaped as json.dumps
+# escapes it.
+_LINE_PREFIX = '{"baseLength": %d, "classicalBits": "%s", "fidelity": %r, "index": '
+_LINE_SUFFIX = ', "messageId": %s, "payloadAmps": %r}'
+
+
+def _line_halves(base_lengths, classical_bits, fidelities, message_ids, payloads):
+    """Each message's record-line text before and after the draw index.
+
+    ``base_lengths`` are ints and ``fidelities`` Python floats: under numpy 2,
+    %r of an np.float64 is not its JSON text.
+    """
+    prefixes = [_LINE_PREFIX % row for row in zip(base_lengths, classical_bits, fidelities)]
+    suffixes = [
+        _LINE_SUFFIX % (encode_basestring_ascii(message_id), linalg.complex_pairs(payload))
+        for message_id, payload in zip(message_ids, payloads)
+    ]
+    return prefixes, suffixes
 
 
 def _line_chunks(transcript: SessionTranscript):
@@ -273,12 +340,13 @@ def _line_chunks(transcript: SessionTranscript):
         "ensembleHash": transcript.ensemble_hash,
     }
     yield [json.dumps(header, sort_keys=True)]
-    prefixes, suffixes = [], []
-    for o in transcript.outcomes:
-        before = {"baseLength": o.payload.spec.r, "classicalBits": o.classical_bits, "fidelity": o.fidelity}
-        after = {"messageId": o.message_id, "payloadAmps": linalg.complex_pairs(o.payload.amps)}
-        prefixes.append(json.dumps(before, sort_keys=True)[:-1] + ', "index": ')
-        suffixes.append(", " + json.dumps(after, sort_keys=True)[1:])
+    prefixes, suffixes = _line_halves(
+        transcript._lengths,
+        transcript.classical_bits,
+        transcript.fidelities.tolist(),
+        transcript.message_ids,
+        transcript.payloads,
+    )
     slots = transcript._slots
     for start in range(0, slots.size, _CHUNK_LINES):
         yield [

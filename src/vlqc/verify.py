@@ -173,7 +173,7 @@ def check_session(ensemble: SourceEnsemble, codebook: Codebook, n: int, seed: in
 
     The expected per-draw base lengths come from ``codebook.base_lengths``
     and the ensemble indices in ``picks``, not from the transcript's own
-    outcomes; the side-channel stream must decode to exactly that sequence.
+    table; the side-channel stream must decode to exactly that sequence.
     """
     transcript = run_session(ensemble, codebook, n=n, seed=seed)
     if not verify_lossless(transcript, ensemble, tol=tol):

@@ -10,8 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# wide_ensemble takes the harness through parse, hash and transcript at d > 4
-@pytest.mark.parametrize("workload", ["reference_session", "wide_ensemble"])
+# wide_ensemble takes the harness through parse, hash and transcript at d > 4;
+# verify_suite through vlqc verify and many small sessions with their records
+@pytest.mark.parametrize("workload", ["reference_session", "wide_ensemble", "verify_suite"])
 def test_smoke_run_has_no_failed_checks(workload):
     # traced, so that the record view and side-channel paths the traced
     # decomposition reads are exercised too

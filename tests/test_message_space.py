@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vlqc.message_space import (
     measure_length,
     significant_length,
     support_lengths,
+    unit_rows,
 )
 
 SPEC22 = RegisterSpec(k=2, r=2)
@@ -302,3 +304,32 @@ def test_register_rejects_huge_length_before_computing_its_dimension():
         with pytest.raises(ValueError, match="too large"):
             RegisterSpec(*spec)
     assert RegisterSpec(2, 22).dim == 2**22
+
+
+@pytest.mark.parametrize(
+    "k, r",
+    [(2, 2.0), (2, True), (2.0, 2), (True, 2), (2, np.float64(2)), (2, np.bool_(True)), (2, "2"), (2, None)],
+)
+def test_register_rejects_non_integer_sizes(k, r):
+    # 2.0 or True would otherwise give a float or bool dim that compares equal to the int one
+    with pytest.raises(ValueError, match="must be an integer"):
+        RegisterSpec(k, r)
+
+
+def test_register_stores_numpy_integers_as_int():
+    spec = RegisterSpec(np.int64(3), np.int32(2))
+    assert (type(spec.k), type(spec.r), type(spec.dim)) == (int, int, int)
+    assert spec == RegisterSpec(3, 2) and spec.dim == 9
+
+
+def test_unit_rows_tests_each_row_alone():
+    rows = [np.array([1.0 + 0j]), np.full(4, 0.5, dtype=complex), np.array([0.6, 0.8j])]
+    assert unit_rows(rows)
+    assert unit_rows([np.array([1.0 + 5e-13 + 0j])])
+    assert not unit_rows([np.array([1.0 + 2e-12 + 0j])])
+    # one short row and one long row can sum to the right total; each is tested alone
+    assert not unit_rows([np.array([0.5 + 0j]), np.array([np.sqrt(0.75) * 1j, 0.5])])
+    for bad in (np.nan, np.inf, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not unit_rows(rows + [np.array([bad, 0], dtype=complex)])

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlqc import verify
-from vlqc.linalg import independent_rows
+from vlqc.linalg import complex_pairs, independent_rows
 from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
 from vlqc.protocol import (
     SessionTranscript,
+    _line_halves,
     alice_send,
     alice_send_many,
     bob_receive,
@@ -175,16 +178,31 @@ def test_verify_lossless_rejects_corruption(ensemble, codebook, table):
     assert abs(np.vdot(source, corrupted)) ** 2 < 1 - 1e-9
 
 
+TABLE_COLUMNS = ("message_indices", "message_ids", "classical_bits", "payloads", "decoded", "fidelities")
+
+
+def _rows(transcript):
+    """The transcript's table as one list per row, its entries in TABLE_COLUMNS order."""
+    return [list(row) for row in zip(*(getattr(transcript, name) for name in TABLE_COLUMNS))]
+
+
+def _from_rows(transcript, rows, **changes):
+    """``transcript`` with its table rebuilt from ``rows`` and any other init field in ``changes``."""
+    columns = dict(zip(TABLE_COLUMNS, map(list, zip(*rows))))
+    columns["decoded"] = np.array(columns["decoded"])
+    return dataclasses.replace(transcript, **columns, **changes)
+
+
 def _forged_transcript(ensemble, codebook):
-    """A session whose first non-symmetric outcome has its decoded state reversed."""
+    """A session whose first non-symmetric table row has its decoded state reversed."""
     transcript = run_session(ensemble, codebook, n=200, seed=4)
-    outcomes = list(transcript.outcomes)
-    for i, outcome in enumerate(outcomes):
-        source = ensemble.find(outcome.message_id).unit_amps()
-        reversed_state = outcome.decoded[::-1].copy()
+    rows = _rows(transcript)
+    for row in rows:
+        source = ensemble.find(row[1]).unit_amps()
+        reversed_state = row[4][::-1].copy()
         if abs(np.vdot(source, reversed_state)) ** 2 < 0.99:
-            outcomes[i] = dataclasses.replace(outcome, decoded=reversed_state)
-            return dataclasses.replace(transcript, outcomes=tuple(outcomes))
+            row[4] = reversed_state
+            return _from_rows(transcript, rows)
     raise AssertionError("every drawn message is symmetric under reversal")
 
 
@@ -337,43 +355,47 @@ def test_batched_picks_equal_scalar_draws(ensemble, codebook, seed):
 
 def test_repeated_messages_share_one_read_only_array(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=200, seed=4)
-    assert len(transcript.outcomes) < transcript.n
-    assert [o.message_index for o in transcript.outcomes] == sorted(set(transcript.picks.tolist()))
+    assert len(transcript.message_ids) < transcript.n
+    assert transcript.message_indices.tolist() == sorted(set(transcript.picks.tolist()))
     by_id = {}
     for record in transcript.records:
         first = by_id.setdefault(record.message_id, record)
         assert record.decoded is first.decoded
         assert record.payload is first.payload
-    assert len(by_id) == len(transcript.outcomes)
-    for outcome in transcript.outcomes:
-        assert outcome.decoded is by_id[outcome.message_id].decoded
-        assert not outcome.decoded.flags.writeable
-        assert not outcome.payload.amps.flags.writeable
+    assert len(by_id) == len(transcript.message_ids)
+    for row, message_id in enumerate(transcript.message_ids):
+        record = by_id[message_id]
+        assert np.shares_memory(record.decoded, transcript.decoded)
+        assert record.decoded.tobytes() == transcript.decoded[row].tobytes()
+        assert record.payload.amps.tobytes() == transcript.payloads[row].tobytes()
+        assert not transcript.payloads[row].flags.writeable
         with pytest.raises(ValueError):
-            outcome.decoded[0] = 0
-    with pytest.raises(ValueError):
-        transcript.picks[0] = 0
+            transcript.payloads[row][0] = 0
+    for column in (transcript.picks, transcript.message_indices, transcript.decoded, transcript.fidelities):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 def test_transcript_rejects_inconsistent_columns(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=50, seed=6)
     fields = {f.name: getattr(transcript, f.name) for f in dataclasses.fields(transcript) if f.init}
-    undrawn = dataclasses.replace(transcript.outcomes[-1], message_index=99)
-    with pytest.raises(ValueError, match="no outcome"):
+    rows = _rows(transcript)
+    undrawn = [99] + rows[-1][1:]
+    with pytest.raises(ValueError, match="no table row"):
         SessionTranscript(**{**fields, "picks": np.append(transcript.picks, 99)})
+    with pytest.raises(ValueError, match="no table row"):
+        SessionTranscript(**{**fields, "picks": np.append(transcript.picks, -1)})
     with pytest.raises(ValueError, match="never drawn"):
-        SessionTranscript(**{**fields, "outcomes": transcript.outcomes + (undrawn,)})
+        _from_rows(transcript, rows + [undrawn])
     with pytest.raises(ValueError, match="ensemble order"):
-        SessionTranscript(**{**fields, "outcomes": transcript.outcomes[::-1]})
-
-
-def _swap(outcomes, attr):
-    """Outcomes whose first two entries have traded ``attr``."""
-    first, second = outcomes[0], outcomes[1]
-    return (
-        dataclasses.replace(first, **{attr: getattr(second, attr)}),
-        dataclasses.replace(second, **{attr: getattr(first, attr)}),
-    ) + outcomes[2:]
+        _from_rows(transcript, rows[::-1])
+    with pytest.raises(ValueError, match="ensemble order"):
+        _from_rows(transcript, [rows[0]] + rows)
+    with pytest.raises(ValueError, match="one entry per row"):
+        SessionTranscript(**{**fields, "fidelities": transcript.fidelities[:-1]})
+    with pytest.raises(ValueError, match="one entry per row"):
+        SessionTranscript(**{**fields, "message_ids": transcript.message_ids + ("zz",)})
 
 
 @pytest.mark.parametrize(
@@ -382,16 +404,12 @@ def _swap(outcomes, attr):
 def test_check_session_recomputes_accounting_from_codebook(monkeypatch, ensemble, codebook, attr, detail):
     honest = run_session(ensemble, codebook, n=100, seed=12)
     assert verify.check_session(ensemble, codebook, n=100, seed=12, tol=1e-9) == (True, "ok")
-    outcomes = _swap(honest.outcomes, attr)
-    assert outcomes[0].payload.spec.r != outcomes[1].payload.spec.r
-    # a self-consistent transcript whose table disagrees with the codebook
-    forged = SessionTranscript(
-        spec=honest.spec,
-        seed=honest.seed,
-        ensemble_hash=honest.ensemble_hash,
-        outcomes=outcomes,
-        picks=honest.picks,
-    )
+    assert honest.payloads[0].size != honest.payloads[1].size
+    # a self-consistent transcript whose table disagrees with the codebook:
+    # the first two rows trade their length codewords or their payloads
+    column = list(getattr(honest, {"classical_bits": "classical_bits", "payload": "payloads"}[attr]))
+    column[:2] = column[1::-1]
+    forged = dataclasses.replace(honest, **{"classical_bits" if attr == "classical_bits" else "payloads": column})
     monkeypatch.setattr(verify, "run_session", lambda *args, **kwargs: forged)
     ok, message = verify.check_session(ensemble, codebook, n=100, seed=12, tol=1e-9)
     assert not ok and detail in message
@@ -409,7 +427,7 @@ def test_written_file_equals_joined_lines(ensemble, codebook, tmp_path, n):
 def test_totals_are_derived_from_the_table(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=300, seed=13)
     init_fields = [f.name for f in dataclasses.fields(SessionTranscript) if f.init]
-    assert init_fields == ["spec", "seed", "ensemble_hash", "outcomes", "picks"]
+    assert init_fields == ["spec", "seed", "ensemble_hash", "picks", *TABLE_COLUMNS]
     records = transcript.records
     assert transcript.total_qubits == sum(r.base_length for r in records)
     assert transcript.total_classical_bits == len(transcript.side_channel_stream())
@@ -417,20 +435,18 @@ def test_totals_are_derived_from_the_table(ensemble, codebook):
 
 
 def _forged_b_as_c(ensemble, codebook):
-    """The n = 200, seed 3 session with b's outcome replaced by c's, kept at b's index.
+    """The n = 200, seed 3 session with b's table row replaced by c's, kept at b's index.
 
     b and c have the same base length, so the forged table still matches the
     codebook's accounting; only the index/id pairing gives it away.
     """
     transcript = run_session(ensemble, codebook, n=200, seed=3)
-    by_id = {o.message_id: o for o in transcript.outcomes}
-    b, c = by_id["b"], by_id["c"]
+    rows = {row[1]: row for row in _rows(transcript)}
+    b, c = rows["b"], rows["c"]
     assert codebook.base_lengths["b"] == codebook.base_lengths["c"]
-    assert int((transcript.picks == b.message_index).sum()) == 23
-    swapped = dataclasses.replace(c, message_index=b.message_index)
-    return dataclasses.replace(
-        transcript, outcomes=tuple(swapped if o is b else o for o in transcript.outcomes)
-    )
+    assert int((transcript.picks == b[0]).sum()) == 23
+    swapped = [b[0]] + c[1:]
+    return _from_rows(transcript, [swapped if row is b else row for row in rows.values()])
 
 
 def test_outcome_carrying_another_messages_id_is_rejected(monkeypatch, ensemble, codebook):
@@ -443,12 +459,10 @@ def test_outcome_carrying_another_messages_id_is_rejected(monkeypatch, ensemble,
 
 def test_outcome_index_past_the_ensemble_is_rejected(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=200, seed=3)
-    last, beyond = transcript.outcomes[-1], len(ensemble.messages)
-    forged = dataclasses.replace(
-        transcript,
-        outcomes=transcript.outcomes[:-1] + (dataclasses.replace(last, message_index=beyond),),
-        picks=np.where(transcript.picks == last.message_index, beyond, transcript.picks),
-    )
+    rows, beyond = _rows(transcript), len(ensemble.messages)
+    last = rows[-1][0]
+    rows[-1][0] = beyond
+    forged = _from_rows(transcript, rows, picks=np.where(transcript.picks == last, beyond, transcript.picks))
     assert verify_lossless(forged, ensemble) is False
 
 
@@ -468,8 +482,8 @@ STACK_SUBJECTS = {
 
 
 def _outcome_bits(index, message_id, bits, payload, decoded, fidelity):
-    """Everything an outcome carries, floats as raw bytes (signs of zeros included) or hex."""
-    return (index, message_id, bits, payload.spec, payload.amps.tobytes(), decoded.tobytes(), fidelity.hex())
+    """Everything a table row carries, floats as raw bytes (signs of zeros included) or hex."""
+    return (index, message_id, bits, payload.dtype, payload.tobytes(), decoded.tobytes(), fidelity.hex())
 
 
 @pytest.mark.parametrize("name", list(STACK_SUBJECTS))
@@ -480,17 +494,16 @@ def test_stacked_session_equals_per_message_loop(name):
         assert cb.code_dim > 36 and cb.spec.r == 2
     table = build_huffman(length_distribution(ens, cb.base_lengths))
     transcript = run_session(ens, cb, n=2000, seed=5)
-    assert len(transcript.outcomes) == len(ens.messages)
+    assert len(transcript.message_ids) == len(ens.messages)
     expected = []
     for msg in ens.messages:
         bits, payload = alice_send(cb, table, msg)
+        assert payload.spec == RegisterSpec(cb.spec.k, cb.base_lengths[msg.id])
         decoded = bob_receive(cb, table, bits, payload)
         fidelity = float(abs(np.vdot(msg.unit_amps(), decoded)) ** 2)
-        expected.append(_outcome_bits(len(expected), msg.id, bits, payload, decoded, fidelity))
-    got = [
-        _outcome_bits(o.message_index, o.message_id, o.classical_bits, o.payload, o.decoded, o.fidelity)
-        for o in transcript.outcomes
-    ]
+        expected.append(_outcome_bits(len(expected), msg.id, bits, payload.amps, decoded, fidelity))
+    columns = (getattr(transcript, name) for name in TABLE_COLUMNS[:-1])
+    got = [_outcome_bits(*row) for row in zip(*columns, transcript.fidelities.tolist())]
     assert got == expected
     # the stacked products are the plain matvecs a one-message encoder applies
     units = np.array([m.unit_amps() for m in ens.messages])
@@ -527,7 +540,7 @@ def test_stacked_send_checks_every_row_before_truncating(ensemble, codebook):
 
 def test_stacked_receive_checks_each_header_against_its_payload(ensemble, codebook, table):
     bits, payloads = alice_send_many(codebook, table, list(ensemble.messages[:5]))
-    assert payloads[0].spec != payloads[-1].spec
+    assert payloads[0].size != payloads[-1].size
     with pytest.raises(ValueError, match="header says"):
         bob_receive_many(codebook, table, "".join(bits), payloads[::-1])
     with pytest.raises(ValueError, match="trailing"):
@@ -568,3 +581,127 @@ def test_base_lengths_are_what_the_sender_cuts_to_at_the_amp_tol_edge():
         lengths = support_lengths(encode_many(codebook, units), codebook.spec.k).tolist()
         assert lengths == [codebook.base_lengths[m.id] for m in ens.messages]
         assert verify.check_session(ens, codebook, n=2000, seed=member, tol=1e-9) == (True, "ok")
+
+
+def _with_row(transcript, row, **entries):
+    """``transcript`` with the given columns' entries at table row ``row`` replaced."""
+    rows = _rows(transcript)
+    for name, value in entries.items():
+        rows[row][TABLE_COLUMNS.index(name)] = value
+    return _from_rows(transcript, rows)
+
+
+@pytest.mark.parametrize(
+    "forge, match",
+    [
+        (lambda t: {"payloads": 2 * t.payloads[1]}, "not unit norm"),
+        (lambda t: {"payloads": np.full(3, 3**-0.5, dtype=complex)}, "k\\^L amplitudes"),
+        (lambda t: {"payloads": np.full(8, 8**-0.5, dtype=complex)}, "k\\^L amplitudes"),
+        (lambda t: {"payloads": t.payloads[1].reshape(1, -1)}, "k\\^L amplitudes"),
+        (lambda t: {"payloads": np.array([np.nan, 1], dtype=complex)}, "not unit norm"),
+        (lambda t: {"decoded": np.where(np.arange(4) == 2, np.nan, t.decoded[1])}, "NaN"),
+        (lambda t: {"fidelities": 1.0 + 2e-12}, "outside \\[0, 1\\]"),
+        (lambda t: {"fidelities": -1e-300}, "outside \\[0, 1\\]"),
+        (lambda t: {"fidelities": float("nan")}, "outside \\[0, 1\\]"),
+        (lambda t: {"classical_bits": '1", "x": "'}, "0 and 1"),
+        (lambda t: {"message_ids": 7}, "strings"),
+    ],
+    ids=[
+        "payload-not-unit", "payload-3-amps", "payload-past-r", "payload-2d", "payload-nan",
+        "decoded-nan", "fidelity-above-1", "fidelity-negative", "fidelity-nan", "bits-not-binary",
+        "id-not-str",
+    ],
+)
+def test_transcript_rejects_forged_table_entries(ensemble, codebook, forge, match):
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    assert transcript.payloads[1].size == 2  # row 1 is message b, one digit
+    forged = forge(transcript)
+    with pytest.raises(ValueError, match=match):
+        _with_row(transcript, 1, **forged)
+    # the honest row passes the same constructor, and a fidelity at the bound is kept
+    assert _with_row(transcript, 1, fidelities=1.0 + 1e-12).fidelities[1] == 1.0 + 1e-12
+
+
+def test_payload_length_that_disagrees_with_its_header_is_rejected(ensemble, codebook, table):
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    # a length-2 payload under message b's one-digit header: each is well formed alone
+    rows = _rows(transcript)
+    assert len(rows[1][3]) == 2 and len(rows[-1][3]) == 4
+    forged = _with_row(transcript, 1, payloads=rows[-1][3])
+    with pytest.raises(ValueError, match="header says 1 digits but payload has 4 amplitudes"):
+        bob_receive_many(codebook, table, forged.classical_bits[1], [forged.payloads[1]])
+    record = json.loads(transcript_lines(forged)[1 + int(np.argmax(forged.picks == rows[1][0]))])
+    with pytest.raises(ValueError, match="header says"):
+        replay_decode(codebook, table, record)
+
+
+def test_session_builds_no_state_objects_until_records(monkeypatch, ensemble, codebook):
+    built = []
+    post_init = VariableLengthState.__post_init__
+
+    def counting(self):
+        built.append(self.spec)
+        post_init(self)
+
+    monkeypatch.setattr(VariableLengthState, "__post_init__", counting)
+    transcript = run_session(ensemble, codebook, n=500, seed=3)
+    assert verify_lossless(transcript, ensemble)
+    transcript_lines(transcript)
+    assert built == []
+    records = transcript.records
+    assert len(records) == 500
+    assert built == [RegisterSpec(2, length) for length in transcript._lengths]
+    assert transcript.records is records and len(built) == len(transcript.message_ids) == 10
+
+
+@pytest.mark.parametrize("base_length", [2.0, True, np.float64(1.0)])
+def test_replay_decode_rejects_non_integer_base_length(ensemble, codebook, table, base_length):
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    line = 1 + int(np.argmax(transcript.picks == ensemble.messages.index(ensemble.find("e"))))
+    record = json.loads(transcript_lines(transcript)[line])
+    assert record["baseLength"] == 2
+    replay_decode(codebook, table, record)
+    if base_length in (True, 1.0):
+        record = json.loads(transcript_lines(transcript)[1 + int(np.argmax(transcript.picks == 1))])
+        assert record["baseLength"] == 1
+    record["baseLength"] = base_length
+    with pytest.raises(ValueError, match="register length r must be an integer"):
+        replay_decode(codebook, table, record)
+
+
+def _oracle_halves(base_length, bits, fidelity, message_id, amps):
+    """The record-line halves as sorted-key json.dumps writes them (the writer's oracle)."""
+    before = {"baseLength": base_length, "classicalBits": bits, "fidelity": fidelity}
+    after = {"messageId": message_id, "payloadAmps": complex_pairs(amps)}
+    return (
+        json.dumps(before, sort_keys=True)[:-1] + ', "index": ',
+        ", " + json.dumps(after, sort_keys=True)[1:],
+    )
+
+
+# signed zero, the smallest subnormal, extremes, and the points where repr switches notation
+LINE_COMPONENTS = [-0.0, 0.0, 5e-324, 1e150, -1e150, 1e-150, 1e16, 9999999999999998.0, 1e-5, 1e-4, 1.0]
+line_ids = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "漢", "😀"]) | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def line_rows(draw):
+    k = draw(st.sampled_from([2, 3, 36]))
+    r = draw(st.integers(1, 2 if k == 36 else 3))
+    length = draw(st.sampled_from([0, r]))
+    # a few drawn components repeated over the k^length amplitudes
+    values = draw(st.lists(st.sampled_from(LINE_COMPONENTS) | st.floats(-1e150, 1e150), min_size=1, max_size=8))
+    amps = np.resize(np.array(values), 2 * k**length).view(complex)
+    fidelity = draw(st.sampled_from([1.0, 0.9999999999999998, 5e-324, 0.0]) | st.floats(0.0, 1.0))
+    bits = draw(st.text("01", min_size=1, max_size=12))
+    return length, bits, fidelity, draw(line_ids), amps
+
+
+@given(st.lists(line_rows(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_line_templates_equal_sorted_key_json(rows):
+    prefixes, suffixes = _line_halves(*map(list, zip(*rows)))
+    assert list(zip(prefixes, suffixes)) == [_oracle_halves(*row) for row in rows]
