@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .message_space import RegisterSpec, VariableLengthState, significant_length, support_lengths
+from .message_space import RegisterSpec, VariableLengthState, significant_length, support_lengths, unit_rows
 
 DECODE_SUPPORT_TOL = 1e-10
 
@@ -182,7 +182,7 @@ def encode_many(codebook: Codebook, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != codebook.ambient_dim:
         raise ValueError(f"vector has dim {x.shape[-1]}, expected {codebook.ambient_dim}")
-    if not (np.abs(np.linalg.norm(x, axis=1) - 1.0) <= linalg.UNIT_TOL).all():
+    if not unit_rows(x):
         raise ValueError("encode input must be a unit vector")
     if not linalg.in_span(x, codebook.basis).all():
         raise ValueError("vector lies outside the source space")

@@ -35,6 +35,15 @@ def as_state(v) -> np.ndarray:
     return arr
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int if it is a Python or numpy integer other than a bool, else ``ValueError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def inner(u, v) -> complex:
     """<u|v>, conjugate-linear in the first argument."""
     u = as_state(u)

@@ -25,15 +25,6 @@ DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 AMP_TOL = 1e-12
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is a Python or numpy integer other than a bool, else ``ValueError``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RegisterSpec:
     """A register of ``r`` quantum digits, each of dimension ``k``; both are stored as int."""
@@ -43,8 +34,8 @@ class RegisterSpec:
 
     def __post_init__(self):
         # 2.0 or True would otherwise pass every comparison below and give a float or bool dim
-        object.__setattr__(self, "k", _integer("letter dimension k", self.k))
-        object.__setattr__(self, "r", _integer("register length r", self.r))
+        object.__setattr__(self, "k", linalg.as_int("letter dimension k", self.k))
+        object.__setattr__(self, "r", linalg.as_int("register length r", self.r))
         if self.k < 2:
             raise ValueError("letter dimension k must be >= 2")
         if self.k > len(DIGIT_ALPHABET):
@@ -138,18 +129,24 @@ def length_projector_indices(n: int, spec: RegisterSpec) -> range:
 
 
 def unit_rows(rows: Sequence[np.ndarray]) -> bool:
-    """Whether every row of ``rows`` (nonempty 1-d complex arrays, any lengths)
-    has a norm within UNIT_TOL of 1.
+    """Whether every row of ``rows`` (nonempty 1-d complex arrays, any lengths,
+    or the rows of a 2-d complex array) has a norm within UNIT_TOL of 1.
 
-    The one unit test for register states: a :class:`VariableLengthState`
-    applies it to its one row, a session transcript to all its payloads at
-    once. NaN or Inf in a row, or a square that overflows, fails the test.
+    The one unit test for register states and encoder input: a
+    :class:`VariableLengthState` applies it to its one row, a session
+    transcript to all its payloads at once, ``encode_many`` to its input
+    rows. NaN or Inf in a row, or a square that overflows, fails the test.
     """
-    starts, end = [], 0
-    for row in rows:
-        starts.append(end)
-        end += 2 * row.size
-    flat = np.concatenate(rows).view(np.float64)  # each row's re, im components, row after row
+    # each row's re, im components, row after row; no rows pass
+    if isinstance(rows, np.ndarray):
+        flat = np.ascontiguousarray(rows).view(np.float64).reshape(-1)
+        starts = range(0, flat.size, 2 * rows.shape[1])
+    else:
+        starts, end = [], 0
+        for row in rows:
+            starts.append(end)
+            end += 2 * row.size
+        flat = np.concatenate(rows).view(np.float64) if starts else np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduceat(flat * flat, starts))
         return bool((abs(norms - 1.0) <= linalg.UNIT_TOL).all())
@@ -197,9 +194,16 @@ def support_lengths(amps: np.ndarray, k: int) -> np.ndarray:
     verifier all apply it, and all to the same per-row encoder products, so
     what the codebook tabulates is exactly what the sender can cut to.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     present = np.abs(amps) > AMP_TOL
-    last = np.where(present.any(axis=1), present.shape[1] - 1 - present[:, ::-1].argmax(axis=1), 0)
-    return np.array([significant_length(int(i), k) for i in last], dtype=int)
+    width = present.shape[1]
+    last = np.where(present.any(axis=1), width - 1 - present[:, ::-1].argmax(axis=1), 0)
+    # the significant length of i is the number of powers k^0, k^1, ... at or below i
+    powers = [1]
+    while powers[-1] * k < width:
+        powers.append(powers[-1] * k)
+    return np.searchsorted(powers, last, side="right")
 
 
 def base_length(state: VariableLengthState) -> int:

@@ -13,7 +13,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import log2
 
-from .linalg import PROBABILITY_SUM_TOL
+import numpy as np
+
+from .linalg import PROBABILITY_SUM_TOL, as_int
 
 
 @dataclass(frozen=True)
@@ -23,14 +25,19 @@ class LengthDistribution:
     probs: dict[int, float]
 
     def __post_init__(self):
-        probs = dict(self.probs)
-        if not probs:
-            raise ValueError("distribution has no symbols")
-        for length, p in probs.items():
-            if not (isinstance(length, int) and length >= 0):
+        probs = {}
+        for length, p in self.probs.items():
+            if type(length) is not int:  # a numpy integer is stored as int; a bool is refused
+                length = as_int("length", length)
+            if length < 0:
                 raise ValueError(f"length {length!r} must be a nonnegative integer")
+            if type(p) is not float and isinstance(p, (bool, np.bool_)):
+                raise ValueError(f"probability of length {length} must be a number, got {p!r}")
             if not p > 0.0:
                 raise ValueError(f"probability of length {length} must be positive")
+            probs[length] = p
+        if not probs:
+            raise ValueError("distribution has no symbols")
         total = float(sum(probs.values()))
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")

@@ -7,6 +7,8 @@ a verification run is reproducible.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -195,33 +197,32 @@ def _result(name: str, failures: list[str], ok_detail: str) -> PropertyResult:
     return PropertyResult(name, True, ok_detail)
 
 
-def run_all(
-    trials: int = 100,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-9,
-    ensemble: SourceEnsemble | None = None,
-    k: int = 2,
-) -> list[PropertyResult]:
-    """Run every property suite and return one result per property."""
-    check_tolerance(tol)
-    results: list[PropertyResult] = []
-    master = np.random.SeedSequence(seed)
-    child_seeds = [int(s.generate_state(1)[0]) for s in master.spawn(trials + 8)]
+def _random_subject(seed: int) -> tuple[SourceEnsemble, int]:
+    """The random ensemble and letter dimension drawn from ``seed``: d in 2..6,
+    3..12 messages, k = 2 twice as often as 3."""
+    rng = np.random.default_rng(seed)
+    ambient = int(rng.integers(2, 7))
+    count = int(rng.integers(3, 13))
+    return random_ensemble(rng, ambient, count), int(rng.choice([2, 2, 3]))
 
-    if ensemble is not None:
-        subjects = [(ensemble, k)]
-    else:
-        subjects = [(reference_ensemble(), REFERENCE_K)]
-        for t in range(trials):
-            rng = np.random.default_rng(child_seeds[t])
-            ambient = int(rng.integers(2, 7))
-            count = int(rng.integers(3, 13))
-            subjects.append((random_ensemble(rng, ambient, count), int(rng.choice([2, 2, 3]))))
 
+def check_subjects(first, start: int, stop: int, child_seeds: list[int], tol: float):
+    """Check subjects ``start`` to ``stop - 1`` of a run; returns their codebook,
+    entropy-bound and session failure lists, in subject order.
+
+    Subject 0 is ``first``, an (ensemble, k) pair; subject t >= 1 is the random
+    ensemble drawn from ``child_seeds[t - 1]``. Subject t's consistency draws
+    come from ``child_seeds[t] ^ 0x5EED`` and its session seed is
+    ``child_seeds[t]``, so a subject's checks do not depend on which block or
+    process runs them.
+    """
     failures: list[str] = []
     lower_failures: list[str] = []
     session_failures: list[str] = []
-    for t, (subject, subject_k) in enumerate(subjects):
+    # all of the block's draws before any check, which runs faster than
+    # drawing each subject just before its checks
+    subjects = [first if t == 0 else _random_subject(child_seeds[t - 1]) for t in range(start, stop)]
+    for t, (subject, subject_k) in enumerate(subjects, start):
         rng = np.random.default_rng(child_seeds[t] ^ 0x5EED)
         codebook = build_codebook(subject, k=subject_k)
         try:
@@ -247,10 +248,159 @@ def run_all(
             ok, detail = False, f"session aborted: {exc}"
         if not ok:
             session_failures.append(f"subject {t}: {detail}")
-    checked = f"{len(subjects)} ensemble(s) checked"
-    results.append(_result("codebook-isometry-and-losslessness", failures, checked))
-    results.append(_result("entropy-lower-bound", lower_failures, checked))
-    results.append(_result("session-round-trip", session_failures, f"{len(subjects)} session(s) checked"))
+    return failures, lower_failures, session_failures
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+
+def _worker_count(subjects: int) -> int:
+    """Processes to check ``subjects`` subjects in: one per CPU in this process's
+    affinity mask, where the platform reports one (Linux), and never more than
+    there are subjects."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), subjects)
+
+
+class WorkerTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of its re-raised exception."""
+
+
+def _start_worker(fn, *args):
+    """Start ``fn(*args)`` in a forked child process.
+
+    Returns a function that waits for the child, never raising, and gives
+    ``(True, result)`` or ``(False, exception)``; an exception raised in the
+    child carries the child's traceback as its cause. The child writes one
+    pickle to a pipe and leaves by ``os._exit``, so it runs no exit handler
+    and flushes no buffer it inherited. If the process cannot fork, the
+    returned function runs ``fn`` in this process instead.
+
+    A bare fork, not a spawned or forkserver worker: those import numpy and
+    the package again, which costs about as much as the subjects they would
+    check, and ``multiprocessing`` itself would add to every ``vlqc verify``'s
+    memory. The caller forks before it does any other work, and this module
+    starts no thread.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory
+        os.close(read_fd)
+        os.close(write_fd)
+        return lambda: _call(fn, *args)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:  # every failure goes to the parent
+                import traceback
+
+                try:
+                    raised = pickle.dumps(exc)
+                except Exception:
+                    raised = None
+                payload = pickle.dumps((False, (traceback.format_exc(), raised)))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    def wait():
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception:  # the child died before it wrote its whole result
+            return False, RuntimeError(f"verify worker {pid} left no result (wait status {status})")
+        if ok:
+            return True, value
+        text, raised = value
+        try:
+            exc = pickle.loads(raised)
+        except Exception:
+            exc = RuntimeError(f"verify worker {pid} raised an exception that cannot be rebuilt here")
+        exc.__cause__ = WorkerTraceback(text)
+        return False, exc
+
+    return wait
+
+
+def _call(fn, *args):
+    """``(True, fn(*args))``, or ``(False, exception)`` if it raises."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+def run_all(
+    trials: int = 100,
+    seed: int = DEFAULT_SEED,
+    tol: float = 1e-9,
+    ensemble: SourceEnsemble | None = None,
+    k: int = 2,
+) -> list[PropertyResult]:
+    """Run every property suite and return one result per property.
+
+    The subjects are the ``ensemble`` given, or else the reference ensemble
+    and ``trials`` random ones. On Linux, with more than one CPU in the
+    affinity mask and more than one subject, contiguous blocks of subjects are
+    checked in forked children, one per CPU, while this process runs the other
+    suites. Every child is waited for before this returns, and the blocks'
+    failures are merged in subject order, so the results are the same on any
+    CPU count; an exception in a block re-raises here, the earliest block's.
+    """
+    check_tolerance(tol)
+    master = np.random.SeedSequence(seed)
+    child_seeds = [int(s.generate_state(1)[0]) for s in master.spawn(trials + 8)]
+    if ensemble is not None:
+        first, count = (ensemble, k), 1
+    else:
+        first, count = (reference_ensemble(), REFERENCE_K), trials + 1
+
+    workers = _worker_count(count)
+    if workers == 1:
+        blocks = [check_subjects(first, 0, count, child_seeds, tol)]
+        scanned = _scans(*first, child_seeds, trials, seed, tol)
+    else:
+        bounds = [count * i // workers for i in range(workers + 1)]
+        waits = []
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                waits.append(_start_worker(check_subjects, first, start, stop, child_seeds, tol))
+            scanned = _scans(*first, child_seeds, trials, seed, tol)
+        finally:
+            outcomes = [wait() for wait in waits]
+        blocks = []
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+            blocks.append(value)
+    failures, lower_failures, session_failures = (
+        [line for block in blocks for line in block[i]] for i in range(3)
+    )
+    checked = f"{count} ensemble(s) checked"
+    return [
+        _result("codebook-isometry-and-losslessness", failures, checked),
+        _result("entropy-lower-bound", lower_failures, checked),
+        _result("session-round-trip", session_failures, f"{count} session(s) checked"),
+        *scanned,
+    ]
+
+
+def _scans(
+    det_subject: SourceEnsemble, det_k: int, child_seeds: list[int], trials: int, seed: int, tol: float
+) -> list[PropertyResult]:
+    """The suites that need no random subject, in report order."""
+    results: list[PropertyResult] = []
 
     # Huffman optimality + Shannon chain on the 0.05 grid; PrefixCodeTable itself
     # rejects a table that is not prefix-free or breaks Kraft.
@@ -314,7 +464,6 @@ def run_all(
     results.append(_result("dephasing-entropy-nondecrease", dephasing_failures, "100 random pairs"))
 
     # Identical seeds give byte-identical transcripts.
-    det_subject, det_k = subjects[0]
     try:
         det_codebook = build_codebook(det_subject, k=det_k)
         first = transcript_lines(run_session(det_subject, det_codebook, n=200, seed=seed))

@@ -14,6 +14,7 @@ from vlqc.codec import (
     decode,
     density_matrix,
     encode,
+    encode_many,
     select_independent,
 )
 from vlqc.ensemble_io import parse_ensemble
@@ -129,6 +130,30 @@ def test_encode_rejects_vector_outside_span():
 def test_encode_rejects_non_unit_input(codebook):
     with pytest.raises(ValueError, match="unit"):
         encode(codebook, np.array([1, 1, 1, 1], dtype=complex))
+
+
+@pytest.mark.parametrize("scale, accepted", [(1 + 5e-13, True), (1 - 5e-13, True), (1 + 2e-12, False), (1 - 2e-12, False)])
+def test_encode_many_unit_margin(codebook, scale, accepted):
+    # one row of the stack off by more than UNIT_TOL refuses the whole stack
+    x = codebook.basis.copy()
+    x[2] *= scale
+    if accepted:
+        assert encode_many(codebook, x).shape == (4, codebook.spec.dim)
+    else:
+        with pytest.raises(ValueError, match="encode input must be a unit vector"):
+            encode_many(codebook, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_encode_many_rejects_nan_and_inf_rows(codebook, bad):
+    x = codebook.basis.copy()
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="encode input must be a unit vector"):
+        encode_many(codebook, x)
+
+
+def test_encode_many_of_no_rows_is_empty(codebook):
+    assert encode_many(codebook, np.zeros((0, 4), dtype=complex)).shape == (0, codebook.spec.dim)
 
 
 def test_decode_codeword_recovers_message(ensemble, codebook):

@@ -333,3 +333,30 @@ def test_unit_rows_tests_each_row_alone():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not unit_rows(rows + [np.array([bad, 0], dtype=complex)])
+
+
+def test_unit_rows_of_a_2d_array_equal_unit_rows_of_its_rows():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x[3] *= 1 + 2e-12
+    # contiguous, reversed-column, strided and Fortran-ordered stacks
+    for stack, passes in ((x, False), (x[:, ::-1], False), (x[::2], True), (np.asfortranarray(x), False)):
+        assert unit_rows(stack) is unit_rows(list(stack)) is passes
+    assert unit_rows([]) is True and unit_rows(np.zeros((0, 5), dtype=complex)) is True
+
+
+@pytest.mark.parametrize("k, r", [(2, 10), (3, 6), (36, 2)])
+def test_support_lengths_equal_significant_length_of_every_index(k, r):
+    # row i's last component above AMP_TOL is index i; the rows past k^r hold
+    # only an all-zero row and a row of AMP_TOL residue, both of length 0
+    dim = k**r
+    rows = np.eye(dim) + AMP_TOL * np.triu(np.ones((dim, dim)), 1)
+    rows = np.vstack([rows, np.zeros(dim), np.full(dim, AMP_TOL)])
+    expected = [significant_length(i, k) for i in range(dim)] + [0, 0]
+    assert support_lengths(rows, k).tolist() == expected
+
+
+def test_support_lengths_rejects_letter_dimension_below_two():
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        support_lengths(np.ones((1, 4)), 1)

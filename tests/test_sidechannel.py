@@ -217,3 +217,28 @@ def test_distribution_requires_unit_sum():
 def test_distribution_requires_positive_probabilities():
     with pytest.raises(ValueError, match="positive"):
         LengthDistribution({0: 0.0, 1: 1.0})
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        {True: 0.5, 2: 0.5},
+        {np.bool_(False): 0.5, 2: 0.5},
+        {1.0: 0.5, 2: 0.5},
+        {"1": 0.5, 2: 0.5},
+        {1: True},
+        {1: np.bool_(True)},
+    ],
+)
+def test_distribution_rejects_bool_and_non_integer_lengths_and_bool_probabilities(probs):
+    with pytest.raises(ValueError):
+        LengthDistribution(probs)
+
+
+def test_distribution_stores_numpy_integer_lengths_as_int():
+    dist = LengthDistribution({np.int64(1): 0.5, np.int32(2): np.float64(0.5)})
+    assert dist.probs == {1: 0.5, 2: 0.5}
+    assert all(type(length) is int for length in dist.probs)
+    table = build_huffman(dist)
+    lengths = decode_lengths(table, encode_lengths(table, [2, 1]), 2)
+    assert lengths == [2, 1] and all(type(length) is int for length in lengths)
