@@ -20,7 +20,7 @@ from .codec import (
     encode,
     select_independent,
 )
-from .linalg import gram_schmidt, hermitian_eigenvalues, in_span, inner, normalize
+from .linalg import gram_schmidt, hermitian_eigenvalues, inner, normalize
 from .message_space import (
     GeneralRegisterIndex,
     LengthMeasurementOutcome,

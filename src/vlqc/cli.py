@@ -16,7 +16,7 @@ from .codec import Codebook, SourceEnsemble, build_codebook
 from .ensemble_io import EnsembleFormatError, load_ensemble
 from .linalg import complex_pairs
 from .metrics import CompressionReport, compile_report
-from .protocol import check_tolerance, run_session, verify_lossless, write_transcript
+from .protocol import FIDELITY_TOL, check_tolerance, run_session, verify_lossless, write_transcript
 from .reference_example import REFERENCE_K, golden_rows, reference_ensemble
 from .sidechannel import build_huffman, length_distribution
 from .verify import DEFAULT_SEED, run_all
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", required=True, type=_int_at_least(1), metavar="COUNT", help="messages to send")
     simulate.add_argument("--seed", required=True, type=_int_at_least(0), metavar="INT", help="sampling seed")
     simulate.add_argument("--out", required=True, metavar="PATH", help="transcript file to write")
-    simulate.add_argument("--tol", type=_tolerance, default=1e-9, metavar="FLOAT", help="fidelity tolerance")
+    simulate.add_argument("--tol", type=_tolerance, default=FIDELITY_TOL, metavar="FLOAT", help="fidelity tolerance")
     simulate.set_defaults(func=_cmd_simulate)
 
     verify = sub.add_parser(
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--ensemble", metavar="PATH", help="check this ensemble instead of random ones")
     verify.add_argument("--trials", type=_int_at_least(0), default=100, metavar="INT", help="random ensembles to draw")
     verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, metavar="INT", help="master seed")
-    verify.add_argument("--tol", type=_tolerance, default=1e-9, metavar="FLOAT", help="numeric tolerance")
+    verify.add_argument("--tol", type=_tolerance, default=FIDELITY_TOL, metavar="FLOAT", help="numeric tolerance")
     verify.set_defaults(func=_cmd_verify)
 
     example = sub.add_parser(

@@ -178,15 +178,18 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
 
 
 def encode_many(codebook: Codebook, x) -> np.ndarray:
-    """The encoder isometry applied to each row of ``x``, each a unit vector inside the source span."""
+    """The encoder isometry applied to each row of ``x``, each a unit vector inside
+    the source span: a row is inside when its codeword is unit, so one with more
+    than about sqrt(2 * UNIT_TOL) of its norm outside the span is refused."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != codebook.ambient_dim:
         raise ValueError(f"vector has dim {x.shape[-1]}, expected {codebook.ambient_dim}")
     if not unit_rows(x):
         raise ValueError("encode input must be a unit vector")
-    if not linalg.in_span(x, codebook.basis).all():
+    codewords = _per_row(codebook.encoder, x)
+    if not unit_rows(codewords):
         raise ValueError("vector lies outside the source space")
-    return _per_row(codebook.encoder, x)
+    return codewords
 
 
 def encode(codebook: Codebook, x) -> VariableLengthState:
@@ -220,9 +223,9 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         eigs = linalg.hermitian_eigenvalues(m)
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-9:
+        if abs(trace - 1.0) > linalg.PROBABILITY_SUM_TOL:
             raise ValueError(f"trace is {trace!r}, expected 1")
-        if float(eigs[-1]) < -1e-10:
+        if float(eigs[-1]) < -linalg.HERMITIAN_TOL:
             raise ValueError("matrix is not positive semidefinite")
         m = m.copy()
         m.flags.writeable = False

@@ -8,7 +8,7 @@ their inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -100,16 +100,6 @@ def gram_schmidt(vectors: Iterable) -> list[np.ndarray]:
         pos = next((p for p, q in enumerate(kept) if p != q), len(kept))
         raise ValueError(f"vector at position {pos} is linearly dependent on its predecessors")
     return list(rows)
-
-
-def in_span(v, basis: Sequence[np.ndarray]) -> bool | np.ndarray:
-    """Whether v lies in the span of an orthonormal basis (vectors or rows), up to
-    relative DEPENDENCE_TOL; for a 2-d stack v, one bool per row."""
-    v = np.asarray(v, dtype=complex) if np.ndim(v) == 2 else as_state(v)
-    rows = np.asarray(basis, dtype=complex).reshape(len(basis), v.shape[-1])
-    residual = v - (rows @ v.conj().T).conj().T @ rows
-    inside = np.linalg.norm(residual, axis=-1) <= DEPENDENCE_TOL * np.linalg.norm(v, axis=-1)
-    return inside if v.ndim == 2 else bool(inside)
 
 
 def complex_pairs(a) -> list:

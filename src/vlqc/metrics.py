@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebook, DensityMatrix, SourceEnsemble, density_matrix
+from .linalg import HERMITIAN_TOL, PROBABILITY_SUM_TOL
 from .message_space import dim_general_message_space
 from .sidechannel import (
     build_huffman,
@@ -188,7 +189,7 @@ def dephasing_entropy_check(sigma, basis, tol: float = BOUND_TOL) -> bool:
         raise ValueError("basis must span the ambient space")
     diagonal = [float(np.real(np.vdot(w, dm.matrix @ np.asarray(w, dtype=complex)))) for w in basis]
     total = sum(diagonal)
-    if abs(total - 1.0) > 1e-9 or min(diagonal) < -1e-10:
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL or min(diagonal) < -HERMITIAN_TOL:
         raise ValueError("basis is not orthonormal and complete for this matrix")
     dephased_entropy = shannon_entropy(p for p in diagonal if p > ENTROPY_EIG_FLOOR)
     return von_neumann_entropy(dm) <= dephased_entropy + tol
@@ -240,6 +241,8 @@ class CompressionReport:
 
 def compile_report(ensemble: SourceEnsemble, codebook: Codebook) -> CompressionReport:
     """Assemble the full report for an ensemble and the codebook built from it."""
+    if codebook.code_dim < 2:
+        raise ValueError("source space of dimension < 2, so compression rates are undefined")
     entropy = von_neumann_entropy(density_matrix(ensemble))
     avg_base = ensemble_code_information(ensemble, codebook)
     dist = length_distribution(ensemble, codebook.base_lengths)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook, encode_many
 from .message_space import support_lengths
-from .metrics import compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
-from .protocol import check_tolerance, run_session, transcript_lines, verify_lossless
+from .metrics import BOUND_TOL, compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
+from .protocol import FIDELITY_TOL, check_tolerance, run_session, transcript_lines, verify_lossless
 from .reference_example import REFERENCE_K, reference_ensemble
 from .sidechannel import (
     LengthDistribution,
@@ -344,7 +344,7 @@ def _call(fn, *args):
 def run_all(
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-9,
+    tol: float = FIDELITY_TOL,
     ensemble: SourceEnsemble | None = None,
     k: int = 2,
 ) -> list[PropertyResult]:
@@ -415,7 +415,7 @@ def _scans(
             huffman_failures.append(f"counts {counts}: mean {mean} vs optimum {optimum}")
             continue
         entropy = shannon_entropy(dist.probs.values())
-        if not (entropy - 1e-9 <= mean < entropy + 1.0):
+        if not (entropy - BOUND_TOL <= mean < entropy + 1.0):
             huffman_failures.append(f"counts {counts}: Shannon chain violated")
     results.append(
         _result("huffman-optimality-and-admissibility", huffman_failures, f"{len(grid)} grid distributions")

@@ -192,7 +192,8 @@ def test_analyze_degenerate_ensemble_exits_3(tmp_path, capsys):
         )
     )
     assert main(["analyze", "--ensemble", str(path)]) == 3
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degenerate ensemble: source space of dimension < 2, so compression rates are undefined" in err
 
 
 def test_simulate_writes_transcript_and_reports_totals(ensemble_path, tmp_path, capsys):
@@ -290,6 +291,24 @@ def test_verify_default_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS  codebook-isometry-and-losslessness" in out
     assert "FAIL" not in out
+
+
+def test_verify_output_is_pinned(capsys):
+    assert main(["verify", "--trials", "100"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "73ea10dcada2d05f4db5b621d3c61a7537ab568cf6f7cfeeb60ea464f4c1e5bf"
+
+
+def test_span_edge_member_analyzes_simulates_and_verifies(span_edge_member, tmp_path, capsys):
+    # analyze accepted this member, and simulate refused it while the sender
+    # judged span membership by a second rule of its own
+    path = tmp_path / "span-edge.json"
+    dump_ensemble(span_edge_member(381, "last"), 2, path)
+    assert main(["analyze", "--ensemble", str(path)]) == 0
+    simulate = ["simulate", "--ensemble", str(path), "--n", "50", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
+    assert main(simulate) == 0
+    assert "lossless        yes" in capsys.readouterr().out
+    assert main(["verify", "--ensemble", str(path)]) == 0
 
 
 def test_verify_on_reference_ensemble(ensemble_path, capsys):

@@ -127,6 +127,41 @@ def test_encode_rejects_vector_outside_span():
         encode(cb, np.array([0, 0, 1], dtype=complex))
 
 
+# a and b span a two-dimensional code in C^4; c = 2b - a lies in their span, e does not
+SPAN_A = np.array([1, 1, 1, 1], dtype=complex)
+SPAN_B = np.array([1, 2, 1, 1], dtype=complex)
+SPAN_E = np.array([1, 0, 1, 0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "x, outside, accepted",
+    [
+        pytest.param(2 * SPAN_B - SPAN_A, 0.0, True, id="c=2b-a"),
+        pytest.param(2 * SPAN_B - SPAN_A, 1e-7, True, id="c+1e-7"),
+        pytest.param(2 * SPAN_B - SPAN_A, 1e-5, False, id="c+1e-5"),
+        pytest.param(SPAN_E, 0.0, False, id="e"),
+    ],
+)
+def test_encode_refuses_states_whose_codeword_is_not_unit(x, outside, accepted):
+    # with w a unit orthogonal to the span, the codeword of sqrt(1 - t^2) c + t w
+    # has norm sqrt(1 - t^2): unit within UNIT_TOL only for t below about
+    # sqrt(2 * UNIT_TOL) = 1.4e-6
+    cb = build_codebook(SourceEnsemble((SourceMessage("a", SPAN_A, 0.6), SourceMessage("b", SPAN_B, 0.4)), 4))
+    w = normalize(SPAN_E)
+    w = normalize(w - (cb.basis.conj() @ w) @ cb.basis)
+    x = math.sqrt(1 - outside**2) * normalize(x) + outside * w
+    # one row outside the span refuses the whole stack
+    stack = np.array([normalize(SPAN_A), x, normalize(SPAN_B)])
+    if accepted:
+        assert abs(np.vdot(x, decode(cb, encode(cb, x)))) ** 2 >= 1 - 1e-12
+        assert encode_many(cb, stack).shape == (3, cb.spec.dim)
+    else:
+        with pytest.raises(ValueError, match="vector lies outside the source space"):
+            encode(cb, x)
+        with pytest.raises(ValueError, match="vector lies outside the source space"):
+            encode_many(cb, stack)
+
+
 def test_encode_rejects_non_unit_input(codebook):
     with pytest.raises(ValueError, match="unit"):
         encode(codebook, np.array([1, 1, 1, 1], dtype=complex))

@@ -9,7 +9,6 @@ from vlqc.linalg import (
     complex_pairs,
     gram_schmidt,
     hermitian_eigenvalues,
-    in_span,
     inner,
     normalize,
 )
@@ -17,7 +16,6 @@ from vlqc.verify import random_unitary
 
 A = np.array([1, 1, 1, 1], dtype=complex)
 B = np.array([1, 2, 1, 1], dtype=complex)
-C = np.array([1, 3, 1, 1], dtype=complex)
 E = np.array([1, 0, 1, 0], dtype=complex)
 F = np.array([2, 0, 1, 0], dtype=complex)
 
@@ -133,26 +131,9 @@ def test_gram_schmidt_span_preserved(seed, dim):
     assert np.linalg.norm(v - rebuilt) <= 1e-9 * np.linalg.norm(v)
 
 
-def test_in_span_dependent_combination():
-    basis = gram_schmidt([normalize(A), normalize(B)])
-    assert in_span(C, basis)  # c = 2b - a
-
-
-def test_in_span_outside_vector():
-    basis = gram_schmidt([normalize(A), normalize(B)])
-    assert not in_span(E, basis)
-
-
 def test_gram_schmidt_reports_first_dependent_position():
     with pytest.raises(ValueError, match="position 1"):
         gram_schmidt([A, 2 * A, B, 3 * B])
-
-
-def test_in_span_accepts_stacked_rows():
-    basis = gram_schmidt([normalize(A), normalize(B)])
-    assert in_span(C, np.array(basis))
-    assert not in_span(E, np.array(basis))
-    assert not in_span(E, [])
 
 
 @pytest.mark.parametrize(
@@ -177,11 +158,6 @@ def test_complex_pairs_is_per_element_float_conversion(values):
     # == treats -0.0 and 0.0 alike; repr does not
     assert repr(got) == repr(reference(a))
     assert complex_pairs(a.T) == reference(a.T)
-
-
-def test_in_span_own_span():
-    v = random_vector(3, 5)
-    assert in_span(v, gram_schmidt([v]))
 
 
 def test_hermitian_eigenvalues_identity():

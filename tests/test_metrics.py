@@ -265,5 +265,5 @@ def test_report_degenerate_one_dimensional_source():
     )
     cb = build_codebook(ens, k=2)
     assert cb.code_dim == 1 and cb.spec.r == 0
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="source space of dimension < 2"):
         compile_report(ens, cb)

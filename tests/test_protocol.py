@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from vlqc import verify
 from vlqc.linalg import complex_pairs, independent_rows
 from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
+from vlqc.metrics import compile_report
 from vlqc.protocol import (
+    FIDELITY_TOL,
     SessionTranscript,
     _line_halves,
     alice_send,
@@ -581,6 +583,29 @@ def test_base_lengths_are_what_the_sender_cuts_to_at_the_amp_tol_edge():
         lengths = support_lengths(encode_many(codebook, units), codebook.spec.k).tolist()
         assert lengths == [codebook.base_lengths[m.id] for m in ens.messages]
         assert verify.check_session(ens, codebook, n=2000, seed=member, tol=1e-9) == (True, "ok")
+
+
+# span-edge members (see conftest) that analyze accepted and the sender then
+# refused while it judged span membership by a second rule of its own
+SPAN_EDGE_REFUSED = [
+    ("last", 381), ("last", 1044), ("last", 1082), ("last", 1195),
+    ("early", 84), ("early", 115), ("early", 122),
+]
+
+
+@pytest.mark.parametrize("visit, seed", SPAN_EDGE_REFUSED)
+def test_span_edge_member_that_analyze_accepts_is_sent_losslessly(span_edge_member, visit, seed):
+    ens = span_edge_member(seed, visit)
+    codebook = build_codebook(ens)
+    compile_report(ens, codebook)  # analyze accepts it
+    assert verify.check_session(ens, codebook, n=2000, seed=seed, tol=FIDELITY_TOL) == (True, "ok")
+
+
+@pytest.mark.parametrize("visit", ["last", "early"])
+def test_span_edge_families_are_sent_losslessly(span_edge_member, visit):
+    for seed in range(1000):
+        ens = span_edge_member(seed, visit)
+        assert verify_lossless(run_session(ens, build_codebook(ens), n=20, seed=seed), ens)
 
 
 def _with_row(transcript, row, **entries):
