@@ -9,6 +9,7 @@ from vlqc.linalg import (
     complex_pairs,
     gram_schmidt,
     hermitian_eigenvalues,
+    independent_rows,
     inner,
     normalize,
 )
@@ -16,6 +17,7 @@ from vlqc.verify import random_unitary
 
 A = np.array([1, 1, 1, 1], dtype=complex)
 B = np.array([1, 2, 1, 1], dtype=complex)
+C = np.array([1, 3, 1, 1], dtype=complex)
 E = np.array([1, 0, 1, 0], dtype=complex)
 F = np.array([2, 0, 1, 0], dtype=complex)
 
@@ -131,9 +133,26 @@ def test_gram_schmidt_span_preserved(seed, dim):
     assert np.linalg.norm(v - rebuilt) <= 1e-9 * np.linalg.norm(v)
 
 
+def test_in_span_outside_vector():
+    # span membership is judged by independent_rows alone: E adds a direction to
+    # span(A, B), and C = 2B - A does not
+    assert independent_rows([A, B, E])[0] == [0, 1, 2]
+    assert independent_rows([A, B, C])[0] == [0, 1]
+
+
 def test_gram_schmidt_reports_first_dependent_position():
     with pytest.raises(ValueError, match="position 1"):
         gram_schmidt([A, 2 * A, B, 3 * B])
+
+
+def test_in_span_accepts_stacked_rows():
+    # the rows of a 2-d array are judged as the vectors of a list, and against
+    # no rows at all E is outside
+    stack = np.array([A, B, C, E])
+    kept, rows = independent_rows(stack)
+    assert kept == [0, 1, 3]
+    np.testing.assert_array_equal(rows, independent_rows(list(stack))[1])
+    assert independent_rows(np.array([E]))[0] == [0]
 
 
 @pytest.mark.parametrize(
