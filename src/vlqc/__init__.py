@@ -14,24 +14,18 @@ from .codec import (
     SourceEnsemble,
     SourceMessage,
     build_codebook,
-    code_length_operator,
     decode,
     density_matrix,
     encode,
     select_independent,
 )
-from .linalg import gram_schmidt, hermitian_eigenvalues, inner, normalize
+from .linalg import gram_schmidt, hermitian_eigenvalues, normalize
 from .message_space import (
-    GeneralRegisterIndex,
     LengthMeasurementOutcome,
     RegisterSpec,
     VariableLengthState,
     base_length,
     dim_general_message_space,
-    expected_length,
-    extended_k_ary,
-    general_basis_index,
-    k_ary_digits,
     length_probabilities,
     length_projector_indices,
     measure_length,

@@ -18,7 +18,6 @@ from .linalg import complex_pairs
 from .metrics import CompressionReport, compile_report
 from .protocol import FIDELITY_TOL, check_tolerance, run_session, verify_lossless, write_transcript
 from .reference_example import REFERENCE_K, golden_rows, reference_ensemble
-from .sidechannel import build_huffman, length_distribution
 from .verify import DEFAULT_SEED, run_all
 
 EXIT_OK = 0
@@ -57,10 +56,10 @@ def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: Compre
     """The full analyze document: report, codebook summary, side-channel table.
 
     The codebook section carries the basis but not the encoder or decoder,
-    which :class:`vlqc.codec.Codebook` derives from it bit-exactly.
+    which :class:`vlqc.codec.Codebook` derives from it bit-exactly; the
+    side-channel section is the codebook's ``lengths`` and ``table``. The
+    benchmark harness passes ``ensemble``, which the document no longer reads.
     """
-    dist = length_distribution(ensemble, codebook.base_lengths)
-    table = build_huffman(dist)
     return {
         "report": report.as_dict(),
         "codebook": {
@@ -73,8 +72,8 @@ def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: Compre
             "basis": complex_pairs(codebook.basis),
         },
         "sidechannel": {
-            "lengthProbabilities": {str(l): p for l, p in sorted(dist.probs.items())},
-            "huffman": {str(l): w for l, w in sorted(table.codewords.items())},
+            "lengthProbabilities": {str(l): p for l, p in sorted(codebook.lengths.probs.items())},
+            "huffman": {str(l): w for l, w in sorted(codebook.table.codewords.items())},
         },
     }
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg
 from .message_space import RegisterSpec, VariableLengthState, significant_length, support_lengths, unit_rows
+from .sidechannel import LengthDistribution, PrefixCodeTable, build_huffman, length_distribution
 
 DECODE_SUPPORT_TOL = 1e-10
 
@@ -114,22 +115,28 @@ def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
 @dataclass(frozen=True)
 class Codebook:
     """The code: an ordered orthonormal basis mapped onto leading-zero-padded
-    k-ary register numerals.
+    k-ary register numerals, and the classical length code agreed with it.
 
     ``basis`` (code_dim x ambient_dim) holds omega_i as row i-1 and is the one
-    stored form of the code. Everything else follows from it: ``encoder`` is
-    the (k^r, ambient_dim) matrix whose row i-1 is <omega_i| and whose rows
-    past code_dim are zero; ``decoder`` is its conjugate transpose, the
-    inverse on the code space; ``code_lengths[i-1]`` is the significant length
-    of codeword i, i.e. ceil(log_k(i)). ``base_lengths`` maps each source
-    message id to the longest codeword component its encoding touches.
+    stored form of the quantum code. Everything else follows from it:
+    ``encoder`` is the (k^r, ambient_dim) matrix whose row i-1 is <omega_i|
+    and whose rows past code_dim are zero; ``decoder`` is its conjugate
+    transpose, the inverse on the code space; ``code_lengths[i-1]`` is the
+    significant length of codeword i, i.e. ceil(log_k(i)). ``base_lengths``
+    maps each source message id to the longest codeword component its
+    encoding touches, and ``lengths`` gives each base length its probability.
+    ``table``, the Huffman code over ``lengths`` that carries each base length
+    over the side-channel, is derived here as the matrices are; every base
+    length must be in ``lengths``, so that it has a codeword.
     """
 
     spec: RegisterSpec
     basis: np.ndarray
     base_lengths: dict[str, int]
+    lengths: LengthDistribution
     encoder: np.ndarray = field(init=False, repr=False, compare=False)
     decoder: np.ndarray = field(init=False, repr=False, compare=False)
+    table: PrefixCodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
@@ -142,9 +149,13 @@ class Codebook:
         encoder = _encoder(basis, self.spec.dim)
         # a C-ordered copy: the layout fixes how decoder products round, and stored transcripts pin that
         decoder = encoder.conj().T.copy()
+        for length in self.base_lengths.values():
+            if length not in self.lengths.probs:
+                raise ValueError(f"base length {length!r} is missing from the side-channel lengths")
         for name, value in (("basis", basis), ("encoder", encoder), ("decoder", decoder)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "table", build_huffman(self.lengths))
 
     @property
     def ambient_dim(self) -> int:
@@ -167,14 +178,15 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
     its encoding touches; that is what the sender must announce. They are the
     :func:`support_lengths` of the products the sender computes, per-row
     encoder matvecs, so the sender's cut never meets amplitude the table left
-    out, however close to AMP_TOL a component rounds.
+    out, however close to AMP_TOL a component rounds. Their distribution under
+    the message probabilities fixes the side-channel code.
     """
     units, _, rows = _independent(ensemble)
     spec = RegisterSpec(k=k, r=significant_length(len(rows) - 1, k))
     lengths = support_lengths(_per_row(_encoder(rows, spec.dim), units), k).tolist()
     del units  # free the m x ambient_dim states before the codebook's matrices are allocated
     base_lengths = {msg.id: n for msg, n in zip(ensemble.messages, lengths)}
-    return Codebook(spec=spec, basis=rows, base_lengths=base_lengths)
+    return Codebook(spec, rows, base_lengths, length_distribution(ensemble, base_lengths))
 
 
 def encode_many(codebook: Codebook, x) -> np.ndarray:
@@ -244,22 +256,3 @@ def density_matrix(ensemble: SourceEnsemble) -> DensityMatrix:
     weighted = units.T * np.asarray(ensemble.probabilities())
     np.conjugate(units, out=units)
     return DensityMatrix(weighted @ units)
-
-
-@dataclass(frozen=True)
-class CodeLengthOperator:
-    """The codeword-length observable of a codebook, in two coordinate systems."""
-
-    lengths: tuple[int, ...]
-    in_code_basis: np.ndarray  # d x d diagonal
-    in_ambient: np.ndarray  # sum_i L_i |omega_i><omega_i|
-
-
-def code_length_operator(codebook: Codebook) -> CodeLengthOperator:
-    lengths = codebook.code_lengths
-    diag = np.diag(np.asarray(lengths, dtype=float))
-    basis = codebook.basis
-    ambient = (basis.T * diag.diagonal()) @ basis.conj()
-    diag.flags.writeable = False
-    ambient.flags.writeable = False
-    return CodeLengthOperator(lengths, diag, ambient)

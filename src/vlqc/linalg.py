@@ -44,15 +44,6 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
-def inner(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u = as_state(u)
-    v = as_state(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
 def normalize(v) -> np.ndarray:
     """v / ||v||; rejects near-zero input and input whose norm overflows a float."""
     v = as_state(v)

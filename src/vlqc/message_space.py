@@ -51,30 +51,6 @@ class RegisterSpec:
         return self.k**self.r
 
 
-def k_ary_digits(i: int, k: int) -> str:
-    """k-ary numeral of ``i`` with no leading zeros; 0 maps to the empty string."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > len(DIGIT_ALPHABET):
-        raise ValueError(f"digit printing supports k <= {len(DIGIT_ALPHABET)}")
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    digits = []
-    while i:
-        i, rem = divmod(i, k)
-        digits.append(DIGIT_ALPHABET[rem])
-    return "".join(reversed(digits))
-
-
-def extended_k_ary(i: int, k: int, n: int) -> str:
-    """k-ary numeral of ``i`` left-padded with zeros to exactly ``n`` digits."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if i >= k**n:
-        raise ValueError(f"{i} does not fit in {n} base-{k} digits")
-    return k_ary_digits(i, k).rjust(n, "0")
-
-
 def significant_length(i: int, k: int) -> int:
     """Number of base-k digits of ``i``, with 0 -> 0; exact integer arithmetic."""
     if k < 2:
@@ -95,28 +71,6 @@ def dim_general_message_space(k: int, r: int) -> int:
     if r < 0:
         raise ValueError("r must be >= 0")
     return (k ** (r + 1) - 1) // (k - 1)
-
-
-@dataclass(frozen=True)
-class GeneralRegisterIndex:
-    """Position of a marker-prefixed codeword in an (r+1)-digit register.
-
-    The codeword |0..0 1 d_1..d_n> (a start marker followed by the n-digit
-    extended numeral of ``i``) sits at register index k^n + i when the digits
-    are read as one base-k numeral.
-    """
-
-    n: int
-    i: int
-    register_index: int
-
-
-def general_basis_index(n: int, i: int, spec: RegisterSpec) -> GeneralRegisterIndex:
-    if not 0 <= n <= spec.r:
-        raise ValueError(f"significant length {n} outside [0, {spec.r}]")
-    if not 0 <= i < spec.k**n:
-        raise ValueError(f"value {i} outside [0, k^{n})")
-    return GeneralRegisterIndex(n=n, i=i, register_index=spec.k**n + i)
 
 
 def length_projector_indices(n: int, spec: RegisterSpec) -> range:
@@ -180,10 +134,6 @@ def length_probabilities(state: VariableLengthState) -> dict[int, float]:
         idx = length_projector_indices(n, state.spec)
         out[n] = float(p[idx.start : idx.stop].sum())
     return out
-
-
-def expected_length(state: VariableLengthState) -> float:
-    return float(sum(n * q for n, q in length_probabilities(state).items()))
 
 
 def support_lengths(amps: np.ndarray, k: int) -> np.ndarray:

@@ -10,13 +10,7 @@ import numpy as np
 from .codec import Codebook, DensityMatrix, SourceEnsemble, density_matrix
 from .linalg import HERMITIAN_TOL, PROBABILITY_SUM_TOL
 from .message_space import dim_general_message_space
-from .sidechannel import (
-    build_huffman,
-    expected_code_length,
-    kraft_sum,
-    length_distribution,
-    shannon_entropy,
-)
+from .sidechannel import expected_code_length, kraft_sum, shannon_entropy
 
 BOUND_TOL = 1e-9
 # Eigenvalues at or below this contribute nothing to entropy (0 log 0 = 0).
@@ -245,9 +239,8 @@ def compile_report(ensemble: SourceEnsemble, codebook: Codebook) -> CompressionR
         raise ValueError("source space of dimension < 2, so compression rates are undefined")
     entropy = von_neumann_entropy(density_matrix(ensemble))
     avg_base = ensemble_code_information(ensemble, codebook)
-    dist = length_distribution(ensemble, codebook.base_lengths)
+    dist, table = codebook.lengths, codebook.table
     side_entropy = shannon_entropy(dist.probs.values())
-    table = build_huffman(dist)
     huffman_mean = expected_code_length(table, dist)
     raw_quantum = raw_information_quantum(codebook.code_dim)
     rate_q, rate_tot, rate_eff = compression_rates(avg_base, side_entropy, huffman_mean, raw_quantum)

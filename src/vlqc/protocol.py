@@ -22,7 +22,7 @@ from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import ensemble_hash
 from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
-from .sidechannel import PrefixCodeTable, build_huffman, decode_lengths, length_distribution
+from .sidechannel import PrefixCodeTable, decode_lengths
 
 FIDELITY_TOL = 1e-9
 _CHUNK_LINES = 1 << 14  # transcript lines per write: about 2.4 MB on the reference ensemble
@@ -184,18 +184,21 @@ class SessionTranscript:
         return "".join([words[slot] for slot in self._slots.tolist()])
 
 
-def alice_send_many(
-    codebook: Codebook, table: PrefixCodeTable, messages: list[SourceMessage]
-) -> tuple[list[str], list[np.ndarray]]:
-    """Each message's length codeword and its codeword truncated to the k^L
-    amplitudes of its tabulated base length L: one encoder product over the
-    stacked unit states, whose rows the payloads are read-only views of."""
+def _own_table(codebook: Codebook, table: PrefixCodeTable) -> None:
+    """Refuse a side-channel table other than the codebook's own."""
+    if table != codebook.table:
+        raise ValueError("the side-channel table is not the codebook's")
+
+
+def alice_send_many(codebook: Codebook, messages: list[SourceMessage]) -> tuple[list[str], list[np.ndarray]]:
+    """Each message's length codeword in the codebook's table and its codeword
+    truncated to the k^L amplitudes of its tabulated base length L: one encoder
+    product over the stacked unit states, whose rows the payloads are read-only
+    views of."""
     bases = [codebook.base_lengths.get(m.id) for m in messages]
     if None in bases:
         raise ValueError(f"message {messages[bases.index(None)].id!r} is unknown to this codebook")
-    bits = [table.codewords.get(base) for base in bases]
-    if None in bits:
-        raise ValueError(f"length {bases[bits.index(None)]} is missing from the side-channel table")
+    bits = [codebook.table.codewords[base] for base in bases]
     codewords = encode_many(codebook, [m.unit_amps() for m in messages])
     cut = support_lengths(codewords, codebook.spec.k) > bases  # checked on every row before any is cut
     if cut.any():
@@ -209,18 +212,19 @@ def alice_send_many(
 def alice_send(
     codebook: Codebook, table: PrefixCodeTable, message: SourceMessage
 ) -> tuple[str, VariableLengthState]:
-    """:func:`alice_send_many` for one message, its payload on a register of base-length digits."""
-    [bits], [row] = alice_send_many(codebook, table, [message])
+    """:func:`alice_send_many` for one message, its payload on a register of
+    base-length digits; ``table`` must be the codebook's own."""
+    _own_table(codebook, table)
+    [bits], [row] = alice_send_many(codebook, [message])
     return bits, VariableLengthState(RegisterSpec(codebook.spec.k, codebook.base_lengths[message.id]), row)
 
 
-def bob_receive_many(
-    codebook: Codebook, table: PrefixCodeTable, stream: str, payloads: list[np.ndarray]
-) -> np.ndarray:
-    """Decode one length header per payload row from the stream, check that the
-    row holds k^length amplitudes, restore leading zero digits, and invert the
-    encoder: one decoder product over the stacked payloads."""
-    lengths = decode_lengths(table, stream, len(payloads))
+def bob_receive_many(codebook: Codebook, stream: str, payloads: list[np.ndarray]) -> np.ndarray:
+    """Decode one length header per payload row from the stream with the
+    codebook's table, check that the row holds k^length amplitudes, restore
+    leading zero digits, and invert the encoder: one decoder product over the
+    stacked payloads."""
+    lengths = decode_lengths(codebook.table, stream, len(payloads))
     k = codebook.spec.k
     padded = np.zeros((len(payloads), codebook.spec.dim), dtype=complex)
     for row, length, payload in zip(padded, lengths, payloads):
@@ -233,9 +237,11 @@ def bob_receive_many(
 def bob_receive(
     codebook: Codebook, table: PrefixCodeTable, bits: str, payload: VariableLengthState
 ) -> np.ndarray:
-    """:func:`bob_receive_many` for one payload and its length header; the
-    payload's digits must also have the codebook's dimension k."""
-    decoded = bob_receive_many(codebook, table, bits, [payload.amps])[0]
+    """:func:`bob_receive_many` for one payload and its length header; ``table``
+    must be the codebook's own, and the payload's digits must have the
+    codebook's dimension k."""
+    _own_table(codebook, table)
+    decoded = bob_receive_many(codebook, bits, [payload.amps])[0]
     if payload.spec.k != codebook.spec.k:
         raise ValueError(f"payload is on {payload.spec}, the codebook sends base-{codebook.spec.k} digits")
     return decoded
@@ -253,7 +259,6 @@ def run_session(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = build_huffman(length_distribution(ensemble, codebook.base_lengths))
     m = len(ensemble.messages)
     cumulative = np.cumsum([msg.probability for msg in ensemble.messages])
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the rounding edge at u ~ 1
@@ -263,8 +268,8 @@ def run_session(
 
     drawn = np.flatnonzero(np.bincount(picks, minlength=m))
     messages = [ensemble.messages[i] for i in drawn.tolist()]
-    bits, payloads = alice_send_many(codebook, table, messages)
-    decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
+    bits, payloads = alice_send_many(codebook, messages)
+    decoded = bob_receive_many(codebook, "".join(bits), payloads)
     decoded.flags.writeable = False
     # one vdot per row: a batched product rounds the fidelity differently
     fidelities = np.array([abs(np.vdot(msg.unit_amps(), row)) ** 2 for msg, row in zip(messages, decoded)])
@@ -390,7 +395,8 @@ def replay_decode(codebook: Codebook, table: PrefixCodeTable, record_doc: dict) 
     """Re-run the receiving side from a stored transcript record.
 
     This is the storage mode: decoding happens from persisted classical bits
-    and quantum payload, independent of the original session.
+    and quantum payload, independent of the original session. ``table`` must
+    be the codebook's own.
     """
     payload = VariableLengthState(
         RegisterSpec(codebook.spec.k, record_doc["baseLength"]),

@@ -135,13 +135,11 @@ class GoldenRow:
 def golden_rows() -> list[GoldenRow]:
     """Every reference comparison, scalars expanded entry by entry."""
     from .metrics import compile_report
-    from .sidechannel import length_distribution
 
     ensemble = reference_ensemble()
     codebook = reference_codebook()
     report = compile_report(ensemble, codebook)
     sigma = density_matrix(ensemble).matrix
-    dist = length_distribution(ensemble, codebook.base_lengths)
 
     rows = [
         GoldenRow("shannon entropy H", EXPECTED_SHANNON_ENTROPY, report.shannon_entropy_bits, SIX_DIGIT_TOL),
@@ -205,7 +203,7 @@ def golden_rows() -> list[GoldenRow]:
         )
     for length, expected in EXPECTED_LENGTH_PROBABILITIES.items():
         rows.append(
-            GoldenRow(f"length probability p_{length}", expected, dist.probs[length], EXACT_TOL)
+            GoldenRow(f"length probability p_{length}", expected, codebook.lengths.probs[length], EXACT_TOL)
         )
     # ordering facts, encoded as indicator comparisons
     rows.append(

@@ -26,7 +26,6 @@ from .sidechannel import (
     decode_lengths,
     encode_lengths,
     expected_code_length,
-    length_distribution,
     shannon_entropy,
 )
 
@@ -184,8 +183,7 @@ def check_session(ensemble: SourceEnsemble, codebook: Codebook, n: int, seed: in
     expected = base_lengths[transcript.picks].tolist()
     if transcript.total_qubits != sum(expected):
         return False, "qubit accounting does not match base lengths"
-    table = build_huffman(length_distribution(ensemble, codebook.base_lengths))
-    if decode_lengths(table, transcript.side_channel_stream(), transcript.n) != expected:
+    if decode_lengths(codebook.table, transcript.side_channel_stream(), transcript.n) != expected:
         return False, "side-channel stream does not decode to the base lengths"
     return True, "ok"
 

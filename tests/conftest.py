@@ -1,9 +1,28 @@
+import sys
+
 import numpy as np
 import pytest
 
 from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.linalg import DEPENDENCE_TOL, independent_rows
+from vlqc.sidechannel import build_huffman
 from vlqc.verify import random_unit, random_units_in_span
+
+
+@pytest.fixture()
+def huffman_builds(monkeypatch):
+    """The distributions of the Huffman tables built while the test runs:
+    ``build_huffman`` is wrapped in every vlqc module that looks it up."""
+    calls = []
+
+    def counting(dist):
+        calls.append(dist)
+        return build_huffman(dist)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vlqc" and getattr(module, "build_huffman", None) is build_huffman:
+            monkeypatch.setattr(module, "build_huffman", counting)
+    return calls
 
 
 def _span_edge_member(seed: int, visit: str) -> SourceEnsemble:

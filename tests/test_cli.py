@@ -351,6 +351,20 @@ def test_example_writes_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+# example builds two codebooks: the golden rows' and the one it writes
+@pytest.mark.parametrize("command, tables", [("analyze", 1), ("simulate", 1), ("example", 2)])
+def test_each_codebook_builds_one_huffman_table(ensemble_path, tmp_path, capsys, huffman_builds, command, tables):
+    out = str(tmp_path / "out")
+    args = {
+        "analyze": ["analyze", "--ensemble", str(ensemble_path), "--out", out],
+        "simulate": ["simulate", "--ensemble", str(ensemble_path), "--n", "500", "--seed", "3", "--out", out],
+        "example": ["example", "--out", out],
+    }[command]
+    assert main(args) == 0
+    assert len(huffman_builds) == tables
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n, seed, flag", [("0", "1", "--n"), ("10", "-1", "--seed")])
 def test_simulate_bad_counts_are_usage_errors(ensemble_path, tmp_path, capsys, n, seed, flag):
     out = tmp_path / "t.jsonl"

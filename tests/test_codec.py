@@ -10,7 +10,6 @@ from vlqc.codec import (
     SourceEnsemble,
     SourceMessage,
     build_codebook,
-    code_length_operator,
     decode,
     density_matrix,
     encode,
@@ -18,8 +17,9 @@ from vlqc.codec import (
     select_independent,
 )
 from vlqc.ensemble_io import parse_ensemble
-from vlqc.linalg import hermitian_eigenvalues, inner, normalize
+from vlqc.linalg import hermitian_eigenvalues, normalize
 from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length
+from vlqc.sidechannel import LengthDistribution, build_huffman
 from vlqc.reference_example import (
     EXPECTED_BASE_LENGTHS,
     EXPECTED_BASIS,
@@ -228,8 +228,8 @@ def test_isometry_on_random_span_vectors(codebook):
     rng = np.random.default_rng(13)
     pairs = random_units_in_span(rng, codebook.basis, 2000)
     for x, y in zip(pairs[0::2], pairs[1::2]):
-        lhs = inner(codebook.encoder @ x, codebook.encoder @ y)
-        assert abs(lhs - inner(x, y)) <= 1e-9
+        lhs = np.vdot(codebook.encoder @ x, codebook.encoder @ y)
+        assert abs(lhs - np.vdot(x, y)) <= 1e-9
 
 
 def test_losslessness_on_random_span_vectors(codebook):
@@ -272,10 +272,11 @@ def test_density_matrix_uniform_orthonormal_is_maximally_mixed():
 
 
 def test_code_length_operator_reference(codebook, ensemble):
-    op = code_length_operator(codebook)
-    np.testing.assert_allclose(op.in_code_basis, np.diag([0, 1, 2, 2]))
+    # the code-length observable sum_i L_i |omega_i><omega_i|, from code_lengths
+    assert codebook.code_lengths == (0, 1, 2, 2)
     sigma = density_matrix(ensemble).matrix
-    mean_measured = float(np.real(np.trace(sigma @ op.in_ambient)))
+    in_ambient = (codebook.basis.T * np.array(codebook.code_lengths)) @ codebook.basis.conj()
+    mean_measured = float(np.real(np.trace(sigma @ in_ambient)))
     avg_base = sum(m.probability * codebook.base_lengths[m.id] for m in ensemble.messages)
     assert mean_measured <= avg_base + 1e-12
     assert avg_base == pytest.approx(0.5, abs=1e-12)
@@ -349,18 +350,32 @@ def test_random_ensembles_round_trip():
 )
 def test_codebook_constructor_checks(basis, match):
     with pytest.raises(ValueError, match=match):
-        Codebook(spec=RegisterSpec(k=2, r=1), basis=basis, base_lengths={})
+        Codebook(spec=RegisterSpec(k=2, r=1), basis=basis, base_lengths={}, lengths=LengthDistribution({0: 1.0}))
+
+
+@pytest.mark.parametrize("missing", [2, 7])
+def test_codebook_refuses_a_base_length_missing_from_its_lengths(codebook, missing):
+    base_lengths = {**codebook.base_lengths, "e": missing}
+    with pytest.raises(ValueError, match=f"base length {missing} is missing"):
+        Codebook(codebook.spec, codebook.basis, base_lengths, LengthDistribution({0: 0.5, 1: 0.5}))
+    with pytest.raises(ValueError, match=f"base length {missing} is missing"):
+        dataclasses.replace(codebook, base_lengths=base_lengths, lengths=LengthDistribution({0: 0.5, 1: 0.5}))
 
 
 def test_codebook_stores_only_its_basis(codebook):
     init_fields = [f.name for f in dataclasses.fields(Codebook) if f.init]
-    assert init_fields == ["spec", "basis", "base_lengths"]
+    assert init_fields == ["spec", "basis", "base_lengths", "lengths"]
     for matrix in (codebook.basis, codebook.encoder, codebook.decoder):
         assert not matrix.flags.writeable
     flipped = dataclasses.replace(codebook, basis=-codebook.basis)
     np.testing.assert_array_equal(flipped.encoder, -codebook.encoder)
     np.testing.assert_array_equal(flipped.decoder, -codebook.decoder)
     assert flipped.code_lengths == codebook.code_lengths
+    # the side-channel table is derived from the lengths, as the matrices are from the basis
+    assert codebook.table == build_huffman(codebook.lengths)
+    skewed = dataclasses.replace(codebook, lengths=LengthDistribution({0: 0.1, 1: 0.1, 2: 0.8}))
+    assert skewed.table == build_huffman(skewed.lengths) != codebook.table
+    assert skewed.table.codewords[2] == "1"
 
 
 def test_codebook_consistency_passes_on_reference(ensemble, codebook):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,10 +13,6 @@ from vlqc.message_space import (
     VariableLengthState,
     base_length,
     dim_general_message_space,
-    expected_length,
-    extended_k_ary,
-    general_basis_index,
-    k_ary_digits,
     length_probabilities,
     length_projector_indices,
     measure_length,
@@ -39,6 +36,16 @@ def superposition(spec: RegisterSpec, *indices: int) -> VariableLengthState:
     return VariableLengthState(spec, amps)
 
 
+def mean_length(state: VariableLengthState) -> float:
+    """The expected outcome of a length measurement."""
+    return sum(n * q for n, q in length_probabilities(state).items())
+
+
+def numeral_length(i: int, k: int) -> int:
+    """Digits in numpy's base-k numeral of i, with 0 -> 0."""
+    return len(np.base_repr(i, k)) if i else 0
+
+
 @pytest.mark.parametrize(
     "i, k, expected",
     [
@@ -52,14 +59,15 @@ def superposition(spec: RegisterSpec, *indices: int) -> VariableLengthState:
     ],
 )
 def test_k_ary_digits(i, k, expected):
-    assert k_ary_digits(i, k) == expected
+    # the k-ary numeral of i has significant_length(i, k) digits
+    assert significant_length(i, k) == len(expected)
     if expected:
         assert int(expected, k) == i
 
 
 def test_k_ary_digits_rejects_bad_base():
     with pytest.raises(ValueError):
-        k_ary_digits(3, 1)
+        significant_length(3, 1)
 
 
 @pytest.mark.parametrize(
@@ -67,12 +75,18 @@ def test_k_ary_digits_rejects_bad_base():
     [(3, 2, 6, "000011"), (243, 16, 6, "0000F3"), (227, 16, 6, "0000E3"), (0, 2, 3, "000")],
 )
 def test_extended_k_ary(i, k, n, expected):
-    assert extended_k_ary(i, k, n) == expected
+    # register index i, written as n digits padded with leading zeros: the zeros are
+    # not significant, so a component at index i has support length len(i's numeral)
+    assert len(expected) == n and int(expected, k) == i
+    row = np.zeros((1, i + 1), dtype=complex)
+    row[0, i] = 1.0
+    assert support_lengths(row, k).tolist() == [len(expected.lstrip("0"))]
 
 
 def test_extended_k_ary_overflow():
-    with pytest.raises(ValueError, match="fit"):
-        extended_k_ary(8, 2, 3)
+    # an index fits in n digits iff its significant length is at most n
+    assert significant_length(7, 2) == 3
+    assert significant_length(8, 2) == 4
 
 
 @pytest.mark.parametrize("i, k, expected", [(0, 2, 0), (3, 2, 2), (4, 2, 3), (15, 16, 1), (16, 16, 2)])
@@ -83,7 +97,7 @@ def test_significant_length(i, k, expected):
 @pytest.mark.parametrize("k", [2, 3, 16])
 def test_significant_length_counts_digits_exhaustively(k):
     for i in range(10_000):
-        assert significant_length(i, k) == len(k_ary_digits(i, k))
+        assert significant_length(i, k) == numeral_length(i, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 16])
@@ -92,38 +106,31 @@ def test_significant_length_counts_digits_sampled(k):
     power = k
     while power <= 1_000_000:
         for i in (power - 1, power, power + 1):
-            assert significant_length(i, k) == len(k_ary_digits(i, k))
+            assert significant_length(i, k) == numeral_length(i, k)
         power *= k
     rng = np.random.default_rng(k)
     for i in rng.integers(10_000, 1_000_000, size=2000):
         i = int(i)
-        assert significant_length(i, k) == len(k_ary_digits(i, k))
-
-
-def test_general_basis_index_empty_message():
-    assert general_basis_index(0, 0, SPEC22).register_index == 1
-
-
-def test_general_basis_index_examples():
-    # |0111> read as a base-2 numeral
-    assert general_basis_index(2, 3, SPEC22).register_index == 7
-    # |010>
-    assert general_basis_index(1, 0, SPEC22).register_index == 2
+        assert significant_length(i, k) == numeral_length(i, k)
 
 
 def test_general_basis_index_matches_digit_reading():
-    spec = RegisterSpec(k=3, r=4)
-    for n in range(spec.r + 1):
-        for i in range(3**n):
-            digits = "1" + extended_k_ary(i, 3, n)
-            assert general_basis_index(n, i, spec).register_index == int(digits, 3)
+    # each message of n <= r digits behind a start digit 1, read as one base-k
+    # numeral, is its own index of an (r+1)-digit register: one index per
+    # dimension of the general message space
+    k, r = 3, 4
+    indices = {
+        int("1" + "".join(digits), k) for n in range(r + 1) for digits in itertools.product("012", repeat=n)
+    }
+    assert len(indices) == dim_general_message_space(k, r)
+    assert min(indices) == 1 and max(indices) < k ** (r + 1)
 
 
 def test_general_basis_index_out_of_range():
-    with pytest.raises(ValueError):
-        general_basis_index(3, 0, SPEC22)
-    with pytest.raises(ValueError):
-        general_basis_index(1, 2, SPEC22)
+    # a significant length beyond the register has no index block
+    for n in (3, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            length_projector_indices(n, SPEC22)
 
 
 @pytest.mark.parametrize("k, r, expected", [(2, 2, 7), (2, 0, 1), (3, 3, 40)])
@@ -156,15 +163,21 @@ def test_length_projector_indices_partition():
 
 
 def test_expected_length_eigenvector():
-    assert expected_length(basis_state(SPEC22, 3)) == 2  # |11>
+    state = basis_state(SPEC22, 3)  # |11>
+    assert length_probabilities(state) == {0: 0.0, 1: 0.0, 2: 1.0}
+    assert mean_length(state) == 2
 
 
 def test_expected_length_superposition():
-    assert expected_length(superposition(SPEC22, 1, 3)) == pytest.approx(1.5)
+    state = superposition(SPEC22, 1, 3)
+    assert length_probabilities(state) == pytest.approx({0: 0.0, 1: 0.5, 2: 0.5})
+    assert mean_length(state) == pytest.approx(1.5)
 
 
 def test_expected_length_empty_message():
-    assert expected_length(basis_state(SPEC22, 0)) == 0
+    state = basis_state(SPEC22, 0)
+    assert length_probabilities(state) == {0: 1.0, 1: 0.0, 2: 0.0}
+    assert mean_length(state) == 0
 
 
 def test_base_length_longest_component():
@@ -172,7 +185,7 @@ def test_base_length_longest_component():
     spec = RegisterSpec(k=2, r=7)
     state = superposition(spec, 0b1000, 0b1000000)
     assert base_length(state) == 7
-    assert expected_length(state) == pytest.approx(5.5)
+    assert mean_length(state) == pytest.approx(5.5)
 
 
 def test_base_length_empty_message():
@@ -249,7 +262,7 @@ def test_base_length_at_least_expected_length():
     for _ in range(100):
         amps = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         state = VariableLengthState(spec, amps / np.linalg.norm(amps))
-        assert base_length(state) >= expected_length(state) - 1e-9
+        assert base_length(state) >= mean_length(state) - 1e-9
 
 
 def test_measure_length_eigenvector_deterministic():
@@ -268,7 +281,7 @@ def test_measure_length_collapse_is_eigenvector():
         outcome = measure_length(state, rng)
         assert outcome.length in (1, 2)
         assert outcome.probability == pytest.approx(0.5)
-        assert expected_length(outcome.collapsed) == pytest.approx(outcome.length)
+        assert mean_length(outcome.collapsed) == pytest.approx(outcome.length)
 
 
 def test_measure_length_probabilities_sum_to_one():

@@ -19,6 +19,7 @@ from vlqc.metrics import (
     von_neumann_entropy,
 )
 from vlqc.reference_example import reference_codebook, reference_ensemble
+from vlqc.sidechannel import LengthDistribution
 from vlqc.verify import random_density, random_ensemble, random_unitary
 
 
@@ -83,7 +84,9 @@ def test_ensemble_code_information_block_lengths(ensemble, codebook):
     import dataclasses
 
     n = 3
-    block = dataclasses.replace(codebook, base_lengths={m.id: n for m in ensemble.messages})
+    block = dataclasses.replace(
+        codebook, base_lengths={m.id: n for m in ensemble.messages}, lengths=LengthDistribution({n: 1.0})
+    )
     assert ensemble_code_information(ensemble, block) == pytest.approx(n * math.log2(2))
 
 

@@ -28,7 +28,7 @@ from vlqc.protocol import (
     write_transcript,
 )
 from vlqc.reference_example import reference_codebook, reference_ensemble
-from vlqc.sidechannel import build_huffman, length_distribution
+from vlqc.sidechannel import PrefixCodeTable
 from vlqc.verify import near_dependent_ensemble, random_ensemble
 from vlqc.codec import SourceEnsemble, SourceMessage, build_codebook, decode_many, encode_many
 
@@ -44,8 +44,8 @@ def codebook():
 
 
 @pytest.fixture(scope="module")
-def table(ensemble, codebook):
-    return build_huffman(length_distribution(ensemble, codebook.base_lengths))
+def table(codebook):
+    return codebook.table
 
 
 def test_alice_send_empty_payload(ensemble, codebook, table):
@@ -110,6 +110,23 @@ def test_bob_receive_trailing_bits(codebook, table):
     payload = VariableLengthState(RegisterSpec(2, 0), np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="trailing"):
         bob_receive(codebook, table, table.codewords[0] + "0", payload)
+
+
+# a prefix code for the reference lengths, but not the codebook's: 0 -> "1" there
+FOREIGN_TABLE = PrefixCodeTable({0: "11", 1: "10", 2: "0"})
+
+
+@pytest.mark.parametrize("call", [alice_send, bob_receive, replay_decode], ids=lambda f: f.__name__)
+def test_one_message_calls_refuse_a_table_that_is_not_the_codebooks(ensemble, codebook, table, call):
+    a = ensemble.find("a")
+    bits, payload = alice_send(codebook, table, a)
+    record = json.loads(transcript_lines(run_session(ensemble, codebook, n=20, seed=3))[1])
+    args = {alice_send: (a,), bob_receive: (bits, payload), replay_decode: (record,)}[call]
+    call(codebook, table, *args)
+    call(codebook, PrefixCodeTable(dict(table.codewords)), *args)  # an equal table built apart
+    assert FOREIGN_TABLE.codewords[0] != table.codewords[0] == bits
+    with pytest.raises(ValueError, match="side-channel table is not the codebook's"):
+        call(codebook, FOREIGN_TABLE, *args)
 
 
 def test_session_expected_accounting(ensemble, codebook):
@@ -494,7 +511,7 @@ def test_stacked_session_equals_per_message_loop(name):
     cb = build_codebook(ens, k=k)
     if name == "k36-d40":
         assert cb.code_dim > 36 and cb.spec.r == 2
-    table = build_huffman(length_distribution(ens, cb.base_lengths))
+    table = cb.table
     transcript = run_session(ens, cb, n=2000, seed=5)
     assert len(transcript.message_ids) == len(ens.messages)
     expected = []
@@ -527,10 +544,10 @@ def test_session_with_another_span_is_rejected():
         run_session(ens, other, n=50, seed=1)
 
 
-def test_stacked_send_names_the_unknown_message(ensemble, codebook, table):
+def test_stacked_send_names_the_unknown_message(ensemble, codebook):
     stranger = SourceMessage("zz", np.array([1, 0, 0, 0], dtype=complex), 1.0)
     with pytest.raises(ValueError, match="message 'zz' is unknown"):
-        alice_send_many(codebook, table, [ensemble.messages[0], stranger, ensemble.messages[1]])
+        alice_send_many(codebook, [ensemble.messages[0], stranger, ensemble.messages[1]])
 
 
 def test_stacked_send_checks_every_row_before_truncating(ensemble, codebook):
@@ -540,22 +557,22 @@ def test_stacked_send_checks_every_row_before_truncating(ensemble, codebook):
         run_session(ensemble, short, n=50, seed=1)
 
 
-def test_stacked_receive_checks_each_header_against_its_payload(ensemble, codebook, table):
-    bits, payloads = alice_send_many(codebook, table, list(ensemble.messages[:5]))
+def test_stacked_receive_checks_each_header_against_its_payload(ensemble, codebook):
+    bits, payloads = alice_send_many(codebook, list(ensemble.messages[:5]))
     assert payloads[0].size != payloads[-1].size
     with pytest.raises(ValueError, match="header says"):
-        bob_receive_many(codebook, table, "".join(bits), payloads[::-1])
+        bob_receive_many(codebook, "".join(bits), payloads[::-1])
     with pytest.raises(ValueError, match="trailing"):
-        bob_receive_many(codebook, table, "".join(bits) + bits[0], payloads)
-    decoded = bob_receive_many(codebook, table, "".join(bits), payloads)
+        bob_receive_many(codebook, "".join(bits) + bits[0], payloads)
+    decoded = bob_receive_many(codebook, "".join(bits), payloads)
     for msg, row in zip(ensemble.messages, decoded):
         assert abs(np.vdot(msg.unit_amps(), row)) ** 2 >= 1 - 1e-12
 
 
-def test_stacked_send_tail_error_names_the_message(ensemble, codebook, table):
+def test_stacked_send_tail_error_names_the_message(ensemble, codebook):
     short = dataclasses.replace(codebook, base_lengths={**codebook.base_lengths, "b": 0})
     with pytest.raises(ValueError, match="message 'b': state has support beyond length 0"):
-        alice_send_many(short, table, [ensemble.find("a"), ensemble.find("b")])
+        alice_send_many(short, [ensemble.find("a"), ensemble.find("b")])
 
 
 def test_base_lengths_are_what_the_sender_cuts_to_at_the_amp_tol_edge():
@@ -577,8 +594,7 @@ def test_base_lengths_are_what_the_sender_cuts_to_at_the_amp_tol_edge():
         c[40] = AMP_TOL * (1 + rng.uniform(-4e-15, 4e-15)) * np.exp(2j * np.pi * rng.random())
         ens = SourceEnsemble(tuple(states) + (SourceMessage("x", c @ basis, 0.01),), d)
         codebook = build_codebook(ens)
-        table = build_huffman(length_distribution(ens, codebook.base_lengths))
-        alice_send_many(codebook, table, list(ens.messages))  # must not raise
+        alice_send_many(codebook, list(ens.messages))  # must not raise
         units = [m.unit_amps() for m in ens.messages]
         lengths = support_lengths(encode_many(codebook, units), codebook.spec.k).tolist()
         assert lengths == [codebook.base_lengths[m.id] for m in ens.messages]
@@ -654,7 +670,7 @@ def test_payload_length_that_disagrees_with_its_header_is_rejected(ensemble, cod
     assert len(rows[1][3]) == 2 and len(rows[-1][3]) == 4
     forged = _with_row(transcript, 1, payloads=rows[-1][3])
     with pytest.raises(ValueError, match="header says 1 digits but payload has 4 amplitudes"):
-        bob_receive_many(codebook, table, forged.classical_bits[1], [forged.payloads[1]])
+        bob_receive_many(codebook, forged.classical_bits[1], [forged.payloads[1]])
     record = json.loads(transcript_lines(forged)[1 + int(np.argmax(forged.picks == rows[1][0]))])
     with pytest.raises(ValueError, match="header says"):
         replay_decode(codebook, table, record)

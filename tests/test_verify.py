@@ -200,3 +200,10 @@ def test_subjects_follow_the_seed_rule(monkeypatch):
         for got, want in zip(ensemble.messages, expected.messages, strict=True):
             np.testing.assert_array_equal(got.amps, want.amps)
             assert got.probability == want.probability
+
+
+def test_check_subjects_builds_one_huffman_table_per_subject(huffman_builds):
+    seeds = child_seeds(6)
+    failures = verify.check_subjects((reference_ensemble(), REFERENCE_K), 0, 6, seeds, 1e-9)
+    assert failures == ([], [], [])
+    assert len(huffman_builds) == 6
