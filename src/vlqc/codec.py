@@ -19,7 +19,7 @@ from .sidechannel import LengthDistribution, PrefixCodeTable, build_huffman, len
 DECODE_SUPPORT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceMessage:
     """One source state: raw (possibly unnormalized) amplitudes plus its probability.
 
@@ -29,7 +29,7 @@ class SourceMessage:
     id: str
     amps: np.ndarray
     probability: float
-    _unit: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         amps = linalg.as_state(self.amps)
@@ -48,7 +48,7 @@ class SourceMessage:
         return self._unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceEnsemble:
     """Weighted source messages spanning the space to be encoded."""
 
@@ -112,7 +112,7 @@ def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
     return _independent(ensemble)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """The code: an ordered orthonormal basis mapped onto leading-zero-padded
     k-ary register numerals, and the classical length code agreed with it.
@@ -134,9 +134,9 @@ class Codebook:
     basis: np.ndarray
     base_lengths: dict[str, int]
     lengths: LengthDistribution
-    encoder: np.ndarray = field(init=False, repr=False, compare=False)
-    decoder: np.ndarray = field(init=False, repr=False, compare=False)
-    table: PrefixCodeTable = field(init=False, repr=False, compare=False)
+    encoder: np.ndarray = field(init=False, repr=False)
+    decoder: np.ndarray = field(init=False, repr=False)
+    table: PrefixCodeTable = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
@@ -224,12 +224,12 @@ def decode(codebook: Codebook, state: VariableLengthState) -> np.ndarray:
     return decode_many(codebook, state.amps[None])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix; ``eigenvalues`` is its hermitian_eigenvalues."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)

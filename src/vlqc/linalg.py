@@ -7,6 +7,7 @@ their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Iterable
 
@@ -93,10 +94,38 @@ def gram_schmidt(vectors: Iterable) -> list[np.ndarray]:
     return list(rows)
 
 
+class gc_paused:
+    """Context manager that pauses CPython's cyclic garbage collector for its block.
+
+    Building a large nested list (a parsed JSON document, or the [re, im] pairs
+    of a matrix) allocates one container per pair. Every few hundred of them
+    the collector runs, and its older-generation passes walk the whole growing
+    structure again, although data without reference cycles is freed by
+    reference counting alone and no pass can find garbage in it. The data
+    built under this pause is acyclic, the collector is paused process-wide
+    only for the block, and a collector that was already off stays off.
+
+    A class rather than a generator-based manager: leaving a generator
+    allocates after the collector is back on, which can run a pass inside the
+    block's caller.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self):
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._was_enabled:
+            gc.enable()
+
+
 def complex_pairs(a) -> list:
     """Nested [re, im] pairs of a complex array: float(z.real), float(z.imag) per entry."""
     a = np.ascontiguousarray(a, dtype=complex)
-    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+    with gc_paused():
+        return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

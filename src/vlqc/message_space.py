@@ -106,7 +106,7 @@ def unit_rows(rows: Sequence[np.ndarray]) -> bool:
         return bool((abs(norms - 1.0) <= linalg.UNIT_TOL).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableLengthState:
     """Unit amplitude vector over the k^r register basis."""
 

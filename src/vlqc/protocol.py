@@ -25,6 +25,9 @@ from .message_space import RegisterSpec, VariableLengthState, support_lengths, u
 from .sidechannel import PrefixCodeTable, decode_lengths
 
 FIDELITY_TOL = 1e-9
+# Rounding slack of a fidelity between unit states: a computed fidelity may
+# exceed 1 by this much, and an exact round trip falls short of 1 by no more.
+FIDELITY_ROUNDING_TOL = 1e-12
 _CHUNK_LINES = 1 << 14  # transcript lines per write: about 2.4 MB on the reference ensemble
 
 
@@ -62,7 +65,7 @@ def _read_only(a, dtype) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionTranscript:
     """A session as one table over the distinct messages drawn, plus the draw order; immutable.
 
@@ -88,9 +91,9 @@ class SessionTranscript:
     decoded: np.ndarray
     fidelities: np.ndarray
     # each row's base length, the row of each draw's message, and each row's draw count
-    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _slots: np.ndarray = field(init=False, repr=False, compare=False)
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False)
+    _slots: np.ndarray = field(init=False, repr=False)
+    _counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         picks = np.array(self.picks, dtype=np.intp)
@@ -128,7 +131,7 @@ class SessionTranscript:
             raise ValueError("a payload is not unit norm")
         if not np.isfinite(decoded).all():
             raise ValueError("decoded states contain NaN or Inf")
-        if not all(0.0 <= f <= 1.0 + 1e-12 for f in fidelities.tolist()):
+        if not all(0.0 <= f <= 1.0 + FIDELITY_ROUNDING_TOL for f in fidelities.tolist()):
             raise ValueError("a fidelity lies outside [0, 1]")
         picks.flags.writeable = indices.flags.writeable = slots.flags.writeable = counts.flags.writeable = False
         for name, value in zip(

@@ -18,7 +18,14 @@ import numpy as np
 from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook, encode_many
 from .message_space import support_lengths
 from .metrics import BOUND_TOL, compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
-from .protocol import FIDELITY_TOL, check_tolerance, run_session, transcript_lines, verify_lossless
+from .protocol import (
+    FIDELITY_ROUNDING_TOL,
+    FIDELITY_TOL,
+    check_tolerance,
+    run_session,
+    transcript_lines,
+    verify_lossless,
+)
 from .reference_example import REFERENCE_K, reference_ensemble
 from .sidechannel import (
     LengthDistribution,
@@ -158,8 +165,8 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
     if deviation > tol:
         return False, f"isometry violated by {deviation:.3e}"
     fidelity = np.abs(np.sum(x.conj() * (encoded @ codebook.decoder.T), axis=1)) ** 2
-    if float(fidelity.min()) < 1.0 - 1e-12:
-        return False, "round-trip fidelity fell below 1 - 1e-12"
+    if float(fidelity.min()) < 1.0 - FIDELITY_ROUNDING_TOL:
+        return False, f"round-trip fidelity fell below 1 - {FIDELITY_ROUNDING_TOL:g}"
     codewords = encode_many(codebook, [m.unit_amps() for m in ensemble.messages])
     bases = [codebook.base_lengths[m.id] for m in ensemble.messages]
     leaked = support_lengths(codewords, codebook.spec.k) > bases

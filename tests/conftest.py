@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import numpy as np
@@ -23,6 +24,30 @@ def huffman_builds(monkeypatch):
         if name.split(".")[0] == "vlqc" and getattr(module, "build_huffman", None) is build_huffman:
             monkeypatch.setattr(module, "build_huffman", counting)
     return calls
+
+
+@pytest.fixture()
+def collections():
+    """The generation of each cyclic-collector pass that starts while the test
+    runs, counted from a fresh collection so that no pass is already due."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    yield started
+    gc.callbacks.remove(hook)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_enabled(request):
+    """Runs the test with the cyclic collector on, then off; turns it back on after."""
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable()
 
 
 def _span_edge_member(seed: int, visit: str) -> SourceEnsemble:

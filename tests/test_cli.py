@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -56,6 +57,16 @@ def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     assert main(["analyze", "--ensemble", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_analyze_malformed_file_leaves_the_collector_as_it_was(ensemble_path, tmp_path, capsys, collector_enabled):
+    doc = json.loads(ensemble_path.read_text())
+    doc["messages"][1]["amps"][0] = [1, "x"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "--ensemble", str(bad)]) == 2
+    assert "messages[1].amps[0]" in capsys.readouterr().err
+    assert gc.isenabled() is collector_enabled
 
 
 @pytest.mark.parametrize(

@@ -378,6 +378,32 @@ def test_codebook_stores_only_its_basis(codebook):
     assert skewed.table.codewords[2] == "1"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SourceMessage("a", np.array([3, 4]), 1.0),
+        reference_ensemble,
+        reference_codebook,
+        lambda: density_matrix(reference_ensemble()),
+        lambda: VariableLengthState(RegisterSpec(2, 1), np.array([0.6, 0.8])),
+        lambda: run_session(reference_ensemble(), reference_codebook(), n=20, seed=1),
+    ],
+    ids=["SourceMessage", "SourceEnsemble", "Codebook", "DensityMatrix", "VariableLengthState", "SessionTranscript"],
+)
+def test_array_holding_values_are_equal_only_to_themselves(make):
+    # value equality would compare array fields, whose truth value is ambiguous
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_codes_and_registers_compare_by_value():
+    first, second = reference_codebook(), reference_codebook()
+    assert first.spec == second.spec and hash(first.spec) == hash(second.spec)
+    assert first.lengths == second.lengths
+    assert first.table == second.table
+
+
 def test_codebook_consistency_passes_on_reference(ensemble, codebook):
     assert check_codebook_consistency(ensemble, codebook, np.random.default_rng(3), 1e-9) == (True, "ok")
 

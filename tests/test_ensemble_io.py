@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
+    _is_finite_number,
+    _parse_amps,
     canonical_ensemble_bytes,
     dump_ensemble,
     ensemble_hash,
@@ -253,3 +257,102 @@ def test_load_rejects_non_utf8_file(tmp_path):
     with pytest.raises(EnsembleFormatError, match="not UTF-8"):
         load_ensemble(path)
 
+
+@pytest.fixture(scope="module")
+def wide_text():
+    """An ensemble file shaped like the benchmark's wide ensemble: d = 384, m = 576."""
+    d, m = 384, 576
+    rng = np.random.default_rng(7)
+    probs = rng.random(m) + 0.05
+    probs /= probs.sum()
+    amps = rng.normal(size=(m, d, 2))
+    doc = {
+        "k": 2,
+        "ambientDim": d,
+        "messages": [{"id": f"m{i}", "p": float(probs[i]), "amps": amps[i].tolist()} for i in range(m)],
+    }
+    return json.dumps(doc)
+
+
+def test_parse_runs_no_collection(wide_text, collections):
+    # the decoded document holds one list per [re, im] pair, 221k of them here
+    efile = parse_ensemble(wide_text)
+    passes = len(collections)
+    assert passes == 0
+    assert len(efile.ensemble.messages) == 576
+
+
+def test_parse_leaves_the_collector_as_it_was(collector_enabled):
+    parse_ensemble(json.dumps(VALID_DOC))
+    assert gc.isenabled() is collector_enabled
+    text = json.dumps(VALID_DOC).replace("[3, 0]", "[3, null]")
+    with pytest.raises(EnsembleFormatError, match=r"messages\[1\]\.amps\[0\]"):
+        parse_ensemble(text)
+    assert gc.isenabled() is collector_enabled
+
+
+def _reference_parse_amps(raw, ambient_dim: int, where: str) -> np.ndarray:
+    """The amplitude check as written before its whole-list passes: a per-pair
+    shape test, then one np.array over the nested pairs."""
+    if not isinstance(raw, list) or len(raw) != ambient_dim:
+        raise EnsembleFormatError(f"{where}: expected {ambient_dim} [re, im] pairs")
+    pairs = None
+    well_formed = all(type(p) is list and len(p) == 2 for p in raw)
+    if well_formed and {type(x) for p in raw for x in p} <= {int, float}:
+        try:
+            pairs = np.array(raw, dtype=float)
+        except OverflowError:
+            pass
+    if pairs is None or not np.isfinite(pairs).all():
+        pos = next(
+            pos for pos, pair in enumerate(raw)
+            if not (type(pair) is list and len(pair) == 2 and all(map(_is_finite_number, pair)))
+        )
+        raise EnsembleFormatError(f"{where}[{pos}]: expected an [re, im] pair of finite numbers")
+    return pairs.view(complex)[:, 0]
+
+
+FLOAT_MAX = sys.float_info.max
+# the integers around the float maximum: up to 2**1024 - 2**970 they round to it,
+# from there on converting them overflows
+OVERFLOW_INT = 2**1024 - 2**970
+AMPLITUDE_EDGES = [
+    0, 1, -7, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, FLOAT_MAX, -FLOAT_MAX,
+    int(FLOAT_MAX) - 1, int(FLOAT_MAX), int(FLOAT_MAX) + 1, -(int(FLOAT_MAX) + 1),
+    OVERFLOW_INT - 1, OVERFLOW_INT, -OVERFLOW_INT, 2**1024,
+    float("nan"), float("inf"), -float("inf"),
+]
+amplitude_numbers = st.sampled_from(AMPLITUDE_EDGES) | st.integers() | st.floats()
+refused_values = (
+    st.booleans() | st.none() | st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+good_pairs = st.lists(amplitude_numbers, min_size=2, max_size=2)
+any_pairs = (
+    good_pairs
+    | st.lists(amplitude_numbers | refused_values, min_size=1, max_size=3)
+    | refused_values
+)
+
+
+@st.composite
+def raw_amplitudes(draw):
+    d = draw(st.integers(1, 4))
+    pairs = draw(st.sampled_from([good_pairs, any_pairs]))
+    return d, draw(st.lists(pairs, min_size=d, max_size=d) | st.lists(any_pairs, max_size=5))
+
+
+@given(raw_amplitudes(), st.integers(0, 3))
+@settings(max_examples=400, deadline=None)
+def test_amplitude_check_accepts_and_refuses_as_the_per_pair_check(case, pos):
+    d, raw = case
+    where = f"messages[{pos}].amps"
+    try:
+        expected = _reference_parse_amps(raw, d, where)
+    except EnsembleFormatError as exc:
+        with pytest.raises(EnsembleFormatError) as refused:
+            _parse_amps(raw, d, where)
+        assert str(refused.value) == str(exc)
+    else:
+        got = _parse_amps(raw, d, where)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (d,)
+        assert got.tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vlqc.linalg import (
     complex_pairs,
+    gc_paused,
     gram_schmidt,
     hermitian_eigenvalues,
     independent_rows,
@@ -155,6 +157,23 @@ def test_complex_pairs_is_per_element_float_conversion(values):
     # == treats -0.0 and 0.0 alike; repr does not
     assert repr(got) == repr(reference(a))
     assert complex_pairs(a.T) == reference(a.T)
+
+
+def test_complex_pairs_runs_no_collection(collections):
+    a = np.random.default_rng(5).normal(size=(576, 384 * 2)).view(complex)
+    pairs = complex_pairs(a)
+    passes = len(collections)
+    assert passes == 0
+    assert len(pairs) == 576 and len(pairs[0]) == 384
+
+
+def test_gc_paused_restores_the_collector_state(collector_enabled):
+    with gc_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled() is collector_enabled
+    with pytest.raises(RuntimeError), gc_paused():
+        raise RuntimeError("inside the pause")
+    assert gc.isenabled() is collector_enabled
 
 
 def test_hermitian_eigenvalues_identity():
