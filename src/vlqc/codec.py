@@ -59,14 +59,15 @@ class SourceEnsemble:
         object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValueError("ensemble has no messages")
+        seen: set[str] = set()
         for msg in self.messages:
             if msg.amps.shape[0] != self.ambient_dim:
                 raise ValueError(
                     f"message {msg.id!r} has dim {msg.amps.shape[0]}, expected {self.ambient_dim}"
                 )
-        ids = [m.id for m in self.messages]
-        if len(set(ids)) != len(ids):
-            raise ValueError("message ids are not unique")
+            if msg.id in seen:
+                raise ValueError(f"duplicate message id {msg.id!r}")
+            seen.add(msg.id)
         total = float(sum(m.probability for m in self.messages))
         if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")

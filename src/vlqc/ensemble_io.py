@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -40,7 +39,7 @@ MAX_K = len(DIGIT_ALPHABET)  # one printable digit (0-9, A-Z) per k-ary value
 
 
 class EnsembleFormatError(ValueError):
-    """Malformed ensemble document; the message carries location context."""
+    """Malformed ensemble file or stored transcript record; the message carries location context."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,8 @@ def _is_finite_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _require(doc: dict, key: str, kind, where: str):
+def require_key(doc: dict, key: str, kind, where: str):
+    """``doc[key]``, refused unless present and a ``kind`` (float: a finite number; int: not a bool)."""
     if key not in doc:
         raise EnsembleFormatError(f"{where}: missing key {key!r}")
     value = doc[key]
@@ -73,9 +73,10 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_amps(raw, ambient_dim: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != ambient_dim:
-        raise EnsembleFormatError(f"{where}: expected {ambient_dim} [re, im] pairs")
+def parse_amps(raw, count: int, where: str) -> np.ndarray:
+    """``count`` stored [re, im] pairs of finite numbers as a complex vector."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise EnsembleFormatError(f"{where}: expected {count} [re, im] pairs")
     pairs = None
     # whole-list passes in C; the per-pair scan below only locates a refusal
     if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
@@ -112,52 +113,39 @@ def _parse(text: str) -> EnsembleFile:
         raise EnsembleFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise EnsembleFormatError("top level: expected an object")
-    k = _require(doc, "k", int, "top level")
+    k = require_key(doc, "k", int, "top level")
     if not 2 <= k <= MAX_K:
         raise EnsembleFormatError(f"top level.k: must be >= 2 and <= {MAX_K}, got {k}")
-    ambient_dim = _require(doc, "ambientDim", int, "top level")
+    ambient_dim = require_key(doc, "ambientDim", int, "top level")
     if ambient_dim < 1:
         raise EnsembleFormatError("top level.ambientDim: must be >= 1")
-    normalize = _require(doc, "normalize", bool, "top level") if "normalize" in doc else True
-    raw_messages = _require(doc, "messages", list, "top level")
+    normalize = require_key(doc, "normalize", bool, "top level") if "normalize" in doc else True
+    raw_messages = require_key(doc, "messages", list, "top level")
     if not raw_messages:
         raise EnsembleFormatError("messages: must be nonempty")
 
     messages = []
-    seen_ids: set[str] = set()
     for pos, raw in enumerate(raw_messages):
         where = f"messages[{pos}]"
         if not isinstance(raw, dict):
             raise EnsembleFormatError(f"{where}: expected an object")
-        msg_id = _require(raw, "id", str, where)
-        if msg_id in seen_ids:
-            raise EnsembleFormatError(f"{where}: duplicate id {msg_id!r}")
-        seen_ids.add(msg_id)
-        p = _require(raw, "p", float, where)
-        if not p > 0.0:
-            raise EnsembleFormatError(f"{where}.p: must be positive")
-        amps = _parse_amps(raw.get("amps"), ambient_dim, f"{where}.amps")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(amps))
-        if norm <= linalg.ZERO_TOL:
-            raise EnsembleFormatError(f"{where}.amps: near-zero vector")
-        if norm == math.inf:
-            raise EnsembleFormatError(f"{where}.amps: norm overflows a float")
-        if normalize:
-            amps = amps / norm  # what linalg.normalize computes, without taking the norm again
-        messages.append((msg_id, amps, p))
+        msg_id = require_key(raw, "id", str, where)
+        p = require_key(raw, "p", float, where)
+        amps = parse_amps(raw.get("amps"), ambient_dim, f"{where}.amps")
+        try:
+            messages.append(SourceMessage(msg_id, linalg.normalize(amps) if normalize else amps, p))
+        except ValueError as exc:
+            raise EnsembleFormatError(f"{where}: {exc}") from None
 
-    total = sum(p for _, _, p in messages)
+    total = sum(m.probability for m in messages)
     if abs(total - 1.0) > PROBABILITY_FILE_TOL:
         raise EnsembleFormatError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
     if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
-        messages = [(i, a, p / total) for i, a, p in messages]
-
-    ensemble = SourceEnsemble(
-        messages=tuple(SourceMessage(id=i, amps=a, probability=p) for i, a, p in messages),
-        ambient_dim=ambient_dim,
-    )
-    return EnsembleFile(ensemble=ensemble, k=k, normalize=normalize)
+        messages = [replace(m, probability=m.probability / total) for m in messages]
+    try:
+        return EnsembleFile(SourceEnsemble(tuple(messages), ambient_dim), k=k, normalize=normalize)
+    except ValueError as exc:
+        raise EnsembleFormatError(f"messages: {exc}") from None
 
 
 def load_ensemble(path) -> EnsembleFile:
@@ -168,19 +156,9 @@ def load_ensemble(path) -> EnsembleFile:
     return parse_ensemble(text)
 
 
-def _content_document(ensemble: SourceEnsemble) -> dict:
-    """The k-independent part of an ensemble file: ambient dimension and messages."""
-    return {
-        "ambientDim": ensemble.ambient_dim,
-        "messages": [
-            {"id": m.id, "p": m.probability, "amps": linalg.complex_pairs(m.amps)}
-            for m in ensemble.messages
-        ],
-    }
-
-
 def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
-    doc = {"k": k, "normalize": True, **_content_document(ensemble)}
+    messages = [{"id": m.id, "p": m.probability, "amps": linalg.complex_pairs(m.amps)} for m in ensemble.messages]
+    doc = {"k": k, "normalize": True, "ambientDim": ensemble.ambient_dim, "messages": messages}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -200,9 +178,10 @@ def _message_tail(m: SourceMessage) -> str:
 def _canonical_pieces(ensemble: SourceEnsemble):
     """The canonical bytes in order, one message at a time.
 
-    Equal to compact sorted-key json.dumps of _content_document: "amps" sorts
-    before "id" and "p", and %r of a finite float is the float repr the JSON
-    encoder writes, so each message is written straight from its stored row.
+    Equal to compact sorted-key json.dumps of the ``dump_ensemble`` document
+    without its "k" and "normalize" keys: "amps" sorts before "id" and "p",
+    and %r of a finite float is the float repr the JSON encoder writes, so
+    each message is written straight from its stored row.
     """
     d = ensemble.ambient_dim
     message = '{"amps":[' + ",".join(["[%r,%r]"] * d) + "],%s"

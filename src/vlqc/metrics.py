@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,6 +14,8 @@ from .message_space import dim_general_message_space
 from .sidechannel import expected_code_length, kraft_sum, shannon_entropy
 
 BOUND_TOL = 1e-9
+# Rounding slack of a computed Kraft sum or information count against its exact bound.
+ROUNDING_TOL = 1e-12
 # Eigenvalues at or below this contribute nothing to entropy (0 log 0 = 0).
 ENTROPY_EIG_FLOOR = 1e-12
 
@@ -81,7 +84,7 @@ def quantum_kraft_trace(code_lengths, k: int) -> tuple[float, bool]:
     codewords is exactly what the classical side-channel pays for.
     """
     value = kraft_sum(code_lengths, k)
-    return value, value <= 1.0 + 1e-12
+    return value, value <= 1.0 + ROUNDING_TOL
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def no_go_block_code(dim_v: int, k: int, n: int) -> BlockCodeVerdict:
         feasible=feasible,
         raw_information_bits=raw,
         code_information_bits=info,
-        compressive=feasible and info < raw - 1e-12,
+        compressive=feasible and info < raw - ROUNDING_TOL,
     )
 
 
@@ -214,23 +217,12 @@ class CompressionReport:
     upper_bound_satisfied: bool
 
     def as_dict(self) -> dict[str, float | bool]:
-        return {
-            "shannonEntropyBits": self.shannon_entropy_bits,
-            "vonNeumannEntropyBits": self.von_neumann_entropy_bits,
-            "rawClassicalBits": self.raw_classical_bits,
-            "rawQuantumBits": self.raw_quantum_bits,
-            "avgBaseLengthBits": self.avg_base_length_bits,
-            "sideChannelEntropyBits": self.side_channel_entropy_bits,
-            "huffmanMeanBits": self.huffman_mean_bits,
-            "rateQuantum": self.rate_quantum,
-            "rateTotal": self.rate_total,
-            "rateEffective": self.rate_effective,
-            "huffmanKraftSum": self.huffman_kraft_sum,
-            "quantumKraftTrace": self.quantum_kraft_trace,
-            "quantumKraftWithinBound": self.quantum_kraft_within_bound,
-            "lowerBoundSatisfied": self.lower_bound_satisfied,
-            "upperBoundSatisfied": self.upper_bound_satisfied,
-        }
+        """Every field, in order, under its camelCase name (``rate_total`` as ``rateTotal``)."""
+        return {key: getattr(self, name) for name, key in _REPORT_KEYS}
+
+
+# Each report field's name and its camelCase key, worked out once rather than per report.
+_REPORT_KEYS = [(f.name, re.sub(r"_([a-z])", lambda c: c[1].upper(), f.name)) for f in fields(CompressionReport)]
 
 
 def compile_report(ensemble: SourceEnsemble, codebook: Codebook) -> CompressionReport:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
-from .ensemble_io import ensemble_hash
+from .ensemble_io import ensemble_hash, parse_amps, require_key
 from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
 from .sidechannel import PrefixCodeTable, decode_lengths
 
@@ -388,6 +388,8 @@ def read_transcript(path) -> tuple[dict, list[dict]]:
     if not lines:
         raise ValueError("transcript file is empty")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError("transcript header: expected an object")
     records = [json.loads(line) for line in lines[1:] if line.strip()]
     if header.get("n") != len(records):
         raise ValueError("header count does not match the number of records")
@@ -401,8 +403,10 @@ def replay_decode(codebook: Codebook, table: PrefixCodeTable, record_doc: dict) 
     and quantum payload, independent of the original session. ``table`` must
     be the codebook's own.
     """
-    payload = VariableLengthState(
-        RegisterSpec(codebook.spec.k, record_doc["baseLength"]),
-        np.array([complex(re, im) for re, im in record_doc["payloadAmps"]]),
-    )
-    return bob_receive(codebook, table, record_doc["classicalBits"], payload)
+    if not isinstance(record_doc, dict):
+        raise ValueError("record: expected an object")
+    # RegisterSpec judges the stored length, and caps k^r before the pairs are read
+    spec = RegisterSpec(codebook.spec.k, require_key(record_doc, "baseLength", object, "record"))
+    amps = parse_amps(record_doc.get("payloadAmps"), spec.dim, "record.payloadAmps")
+    bits = require_key(record_doc, "classicalBits", str, "record")
+    return bob_receive(codebook, table, bits, VariableLengthState(spec, amps))

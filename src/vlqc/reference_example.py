@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebook, SourceEnsemble, SourceMessage, build_codebook, density_matrix
+from .metrics import compile_report
 
 REFERENCE_K = 2
 
@@ -134,8 +135,6 @@ class GoldenRow:
 
 def golden_rows() -> list[GoldenRow]:
     """Every reference comparison, scalars expanded entry by entry."""
-    from .metrics import compile_report
-
     ensemble = reference_ensemble()
     codebook = reference_codebook()
     report = compile_report(ensemble, codebook)

@@ -76,7 +76,7 @@ def kraft_sum(lengths: Iterable[int], k: int) -> float:
 
 @dataclass(frozen=True)
 class PrefixCodeTable:
-    """Prefix-free binary codewords for length values."""
+    """Prefix-free binary codewords for length values; by Kraft-McMillan they meet Kraft's inequality."""
 
     codewords: dict[int, str]
     decode_map: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -91,8 +91,6 @@ class PrefixCodeTable:
                 raise ValueError(f"codeword for length {length} must be a nonempty 0/1 string")
         if not is_prefix_free(codewords.values()):
             raise ValueError("codewords are not prefix-free")
-        if kraft_sum((len(w) for w in codewords.values()), 2) > 1.0 + 1e-12:
-            raise ValueError("codewords violate the binary Kraft inequality")
         object.__setattr__(self, "codewords", codewords)
         object.__setattr__(self, "decode_map", {w: s for s, w in codewords.items()})
         object.__setattr__(self, "max_word_length", max(len(w) for w in codewords.values()))

@@ -15,12 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook, encode_many
-from .message_space import support_lengths
+from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook
 from .metrics import BOUND_TOL, compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
 from .protocol import (
     FIDELITY_ROUNDING_TOL,
     FIDELITY_TOL,
+    alice_send_many,
     check_tolerance,
     run_session,
     transcript_lines,
@@ -154,9 +154,9 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
 
     Draws 20 pairs of random unit vectors in the span of the basis and checks, as
     matrix products, that the encoder keeps every inner product among them
-    (within ``tol``), that the decoder returns each one, and that no message's
-    encoding, computed as the sender computes it, has support past its base
-    length.
+    (within ``tol``) and that the decoder returns each one. Then the sender,
+    :func:`alice_send_many`, must accept every message of the ensemble: its
+    refusal (a state with support past its base length, say) is the failure.
     """
     check_tolerance(tol)
     x = random_units_in_span(rng, codebook.basis, 40)
@@ -167,12 +167,10 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
     fidelity = np.abs(np.sum(x.conj() * (encoded @ codebook.decoder.T), axis=1)) ** 2
     if float(fidelity.min()) < 1.0 - FIDELITY_ROUNDING_TOL:
         return False, f"round-trip fidelity fell below 1 - {FIDELITY_ROUNDING_TOL:g}"
-    codewords = encode_many(codebook, [m.unit_amps() for m in ensemble.messages])
-    bases = [codebook.base_lengths[m.id] for m in ensemble.messages]
-    leaked = support_lengths(codewords, codebook.spec.k) > bases
-    if leaked.any():
-        msg = ensemble.messages[int(leaked.argmax())]
-        return False, f"message {msg.id!r} has amplitude beyond its base length"
+    try:
+        alice_send_many(codebook, list(ensemble.messages))
+    except ValueError as exc:
+        return False, str(exc)
     return True, "ok"
 
 
@@ -230,10 +228,7 @@ def check_subjects(first, start: int, stop: int, child_seeds: list[int], tol: fl
     for t, (subject, subject_k) in enumerate(subjects, start):
         rng = np.random.default_rng(child_seeds[t] ^ 0x5EED)
         codebook = build_codebook(subject, k=subject_k)
-        try:
-            ok, detail = check_codebook_consistency(subject, codebook, rng, tol)
-        except ValueError as exc:
-            ok, detail = False, f"check aborted: {exc}"
+        ok, detail = check_codebook_consistency(subject, codebook, rng, tol)
         if not ok:
             failures.append(f"subject {t}: {detail}")
             continue
@@ -408,7 +403,7 @@ def _scans(
     results: list[PropertyResult] = []
 
     # Huffman optimality + Shannon chain on the 0.05 grid; PrefixCodeTable itself
-    # rejects a table that is not prefix-free or breaks Kraft.
+    # rejects a table that is not prefix-free, which also rules out breaking Kraft.
     huffman_failures: list[str] = []
     grid = grid_distributions()
     for counts in grid:

@@ -304,10 +304,46 @@ def test_verify_default_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_output_is_pinned(capsys):
-    assert main(["verify", "--trials", "100"]) == 0
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "--trials", "100"], "73ea10dcada2d05f4db5b621d3c61a7537ab568cf6f7cfeeb60ea464f4c1e5bf"),
+        (["verify", "--trials", "300"], "b2097635cd3affc0898dba0b36da1d23199a7867ad1b4d5be85c0cad6a2431f2"),
+        # the 91 golden rows to nine significant digits, not only within their tolerances
+        (["example"], "99f5ab5003663f934673e238646e8dab782a7dd5193273554dc355c51cec55c0"),
+    ],
+    ids=["verify-100", "verify-300", "example"],
+)
+def test_verify_output_is_pinned(capsys, argv, expected):
+    assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "73ea10dcada2d05f4db5b621d3c61a7537ab568cf6f7cfeeb60ea464f4c1e5bf"
+    assert digest == expected
+
+
+def _refused(capsys, argv, code):
+    """``main(argv)`` exits with ``code`` and one ``error:`` line on stderr, without a traceback."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "example"])
+def test_report_into_missing_directory_exits_4(ensemble_path, tmp_path, capsys, command):
+    argv = [command, "--out", str(tmp_path / "not" / "there" / "report.json")]
+    if command == "analyze":
+        argv += ["--ensemble", str(ensemble_path)]
+    _refused(capsys, argv, 4)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_malformed_ensemble_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k": 2, "ambientDim": oops}')
+    argv = [command, "--ensemble", str(bad)]
+    if command == "simulate":
+        argv += ["--n", "2", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
+    _refused(capsys, argv, 2)
 
 
 def test_span_edge_member_analyzes_simulates_and_verifies(span_edge_member, tmp_path, capsys):

@@ -423,7 +423,16 @@ def test_codebook_consistency_names_understated_base_length():
     understated = dataclasses.replace(cb, base_lengths={**cb.base_lengths, victim: cb.base_lengths[victim] - 1})
     ok, detail = check_codebook_consistency(ens, understated, np.random.default_rng(3), 1e-9)
     assert not ok
-    assert detail == f"message {victim!r} has amplitude beyond its base length"
+    # the sender's own refusal, naming the victim
+    assert (victim, detail) == ("m0", "message 'm0': state has support beyond length 0")
+
+
+def test_codebook_consistency_reports_a_message_the_codebook_does_not_know(ensemble):
+    other = build_codebook(random_ensemble(np.random.default_rng(5), 4, 6), k=2)
+    assert check_codebook_consistency(ensemble, other, np.random.default_rng(3), 1e-9) == (
+        False,
+        "message 'a' is unknown to this codebook",
+    )
 
 
 def test_minimal_register_sizes():

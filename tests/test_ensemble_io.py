@@ -13,7 +13,7 @@ from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
     _is_finite_number,
-    _parse_amps,
+    parse_amps,
     canonical_ensemble_bytes,
     dump_ensemble,
     ensemble_hash,
@@ -66,6 +66,15 @@ def test_parse_reports_json_position():
         (lambda d: d["messages"][0].update(amps=[[1, 0]]), r"messages\[0\]"),
         (lambda d: d["messages"][1].update(id="x"), "duplicate"),
         (lambda d: d["messages"][0].update(amps=[[0, 0], [0, 0]]), "near-zero"),
+        # without normalization SourceMessage refuses the vector, and the file names the message
+        (
+            lambda d: (d.update(normalize=False), d["messages"][0].update(amps=[[1e-13, 0], [0, 0]])),
+            r"messages\[0\]: message 'x': cannot normalize a near-zero vector",
+        ),
+        (
+            lambda d: (d.update(normalize=False), d["messages"][1].update(amps=[[1e308, 1e308], [1e308, 0]])),
+            r"messages\[1\]: message 'y': cannot normalize a vector whose norm overflows a float",
+        ),
     ],
 )
 def test_parse_schema_errors_carry_location(mutate, message):
@@ -350,9 +359,9 @@ def test_amplitude_check_accepts_and_refuses_as_the_per_pair_check(case, pos):
         expected = _reference_parse_amps(raw, d, where)
     except EnsembleFormatError as exc:
         with pytest.raises(EnsembleFormatError) as refused:
-            _parse_amps(raw, d, where)
+            parse_amps(raw, d, where)
         assert str(refused.value) == str(exc)
     else:
-        got = _parse_amps(raw, d, where)
+        got = parse_amps(raw, d, where)
         assert got.dtype == expected.dtype and got.shape == expected.shape == (d,)
         assert got.tobytes() == expected.tobytes()

@@ -38,6 +38,27 @@ def report(ensemble, codebook):
     return compile_report(ensemble, codebook)
 
 
+def test_report_dict_keys_are_the_camel_case_field_names(report):
+    assert list(report.as_dict()) == [
+        "shannonEntropyBits",
+        "vonNeumannEntropyBits",
+        "rawClassicalBits",
+        "rawQuantumBits",
+        "avgBaseLengthBits",
+        "sideChannelEntropyBits",
+        "huffmanMeanBits",
+        "rateQuantum",
+        "rateTotal",
+        "rateEffective",
+        "huffmanKraftSum",
+        "quantumKraftTrace",
+        "quantumKraftWithinBound",
+        "lowerBoundSatisfied",
+        "upperBoundSatisfied",
+    ]
+    assert report.as_dict()["rateTotal"] == report.rate_total
+
+
 def test_raw_information_classical():
     assert raw_information_classical(10) == pytest.approx(3.32193, abs=5e-5)
     assert raw_information_classical(1) == 0

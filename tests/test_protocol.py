@@ -312,6 +312,47 @@ def test_replay_decode_rejects_huge_base_length_at_once(ensemble, codebook, tabl
         replay_decode(codebook, table, record)
 
 
+@pytest.mark.parametrize("header", ["[]", "3"])
+def test_read_transcript_refuses_a_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "t.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="transcript header: expected an object"):
+        read_transcript(path)
+
+
+def _without(key):
+    return lambda r: {k: v for k, v in r.items() if k != key}
+
+
+def _with_pair(pos, pair):
+    return lambda r: {**r, "payloadAmps": r["payloadAmps"][:pos] + [pair] + r["payloadAmps"][pos + 1 :]}
+
+
+@pytest.mark.parametrize(
+    "forge, match",
+    [
+        (list, "record: expected an object"),
+        (_without("baseLength"), "record: missing key 'baseLength'"),
+        (_without("payloadAmps"), r"record\.payloadAmps: expected 4 \[re, im\] pairs"),
+        (_without("classicalBits"), "record: missing key 'classicalBits'"),
+        (lambda r: {**r, "classicalBits": 0}, r"record\.classicalBits: expected str"),
+        (_with_pair(1, [0.5, 0.0, 0.0]), r"record\.payloadAmps\[1\]: expected an \[re, im\] pair"),
+        (_with_pair(2, [True, 0.0]), r"record\.payloadAmps\[2\]: expected an \[re, im\] pair"),
+        (_with_pair(3, [0.5, "a"]), r"record\.payloadAmps\[3\]: expected an \[re, im\] pair"),
+    ],
+    ids=["list", "no-baseLength", "no-payloadAmps", "no-classicalBits", "int-bits", "triple", "bool", "string"],
+)
+def test_replay_decode_names_the_malformed_field(ensemble, codebook, table, forge, match):
+    transcript = run_session(ensemble, codebook, n=200, seed=3)
+    line = 1 + int(np.argmax(transcript.picks == ensemble.messages.index(ensemble.find("e"))))
+    record = json.loads(transcript_lines(transcript)[line])
+    assert record["baseLength"] == 2
+    replay_decode(codebook, table, record)
+    forged = forge(record)
+    with pytest.raises(ValueError, match=match):
+        replay_decode(codebook, table, forged)
+
+
 # Digests of "\n".join(transcript_lines(t)) + "\n" as written by the per-draw
 # implementation that preceded the per-message table; the table must
 # reproduce those bytes and totals exactly.
@@ -354,6 +395,19 @@ def test_transcript_bytes_are_pinned(name, n, seed, digest, size, qubits, bits):
     assert hashlib.sha256(data).hexdigest() == digest
     assert len(data) == size
     assert (transcript.total_qubits, transcript.total_classical_bits) == (qubits, bits)
+
+
+def test_replay_decode_equals_the_per_pair_build():
+    ens, cb = _pinned_subject("random-6x12-k3")
+    lines = transcript_lines(run_session(ens, cb, n=2000, seed=5))
+    for line in lines[1:]:
+        record = json.loads(line)
+        payload = VariableLengthState(
+            RegisterSpec(cb.spec.k, record["baseLength"]),
+            np.array([complex(re, im) for re, im in record["payloadAmps"]]),
+        )
+        expected = bob_receive(cb, cb.table, record["classicalBits"], payload)
+        assert replay_decode(cb, cb.table, record).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123456])
