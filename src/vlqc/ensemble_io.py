@@ -33,6 +33,7 @@ import numpy as np
 from . import linalg
 from .codec import SourceEnsemble, SourceMessage
 from .message_space import DIGIT_ALPHABET
+from .workers import start_worker, worker_count
 
 PROBABILITY_FILE_TOL = 1e-6
 MAX_K = len(DIGIT_ALPHABET)  # one printable digit (0-9, A-Z) per k-ary value
@@ -175,6 +176,9 @@ def _message_tail(m: SourceMessage) -> str:
     return _TAIL_ENCODER.encode({"id": m.id, "p": m.probability})[1:]
 
 
+_OPEN, _CLOSE = b'{"ambientDim":%d,"messages":[', b"]}"
+
+
 def _canonical_pieces(ensemble: SourceEnsemble):
     """The canonical bytes in order, one message at a time.
 
@@ -183,13 +187,22 @@ def _canonical_pieces(ensemble: SourceEnsemble):
     and %r of a finite float is the float repr the JSON encoder writes, so
     each message is written straight from its stored row.
     """
+    yield _OPEN % ensemble.ambient_dim
+    yield from _message_pieces(ensemble, 0, len(ensemble.messages))
+    yield _CLOSE
+
+
+def _message_pieces(ensemble: SourceEnsemble, start: int, stop: int):
+    """The canonical bytes of messages ``start`` to ``stop - 1``, one message at a time."""
     d = ensemble.ambient_dim
     message = '{"amps":[' + ",".join(["[%r,%r]"] * d) + "],%s"
-    yield b'{"ambientDim":%d,"messages":[' % d
-    for pos, m in enumerate(ensemble.messages):
+    for pos, m in enumerate(ensemble.messages[start:stop], start):
         piece = message % (*m.amps.view(np.float64).tolist(), _message_tail(m))
         yield (piece if pos == 0 else "," + piece).encode("utf-8")
-    yield b"]}"
+
+
+def _message_block(ensemble: SourceEnsemble, start: int, stop: int) -> bytes:
+    return b"".join(_message_pieces(ensemble, start, stop))
 
 
 def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
@@ -197,9 +210,34 @@ def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
     return b"".join(_canonical_pieces(ensemble))
 
 
+# Amplitude floats (2 m d) from which ensemble_hash formats blocks of messages
+# in forked workers; below it, forking costs more than it saves.
+_FORK_FLOATS = 1 << 16
+
+
 def ensemble_hash(ensemble: SourceEnsemble) -> str:
-    """Hex digest identifying the ensemble, stable across runs and formatting."""
-    digest = hashlib.sha256()
-    for piece in _canonical_pieces(ensemble):
-        digest.update(piece)
+    """Hex digest identifying the ensemble, stable across runs and formatting.
+
+    From _FORK_FLOATS amplitude floats up, the messages are split into
+    contiguous blocks, one per CPU in the affinity mask. This process formats
+    the first block while forked workers format the others, and sha256 takes
+    the blocks in order, so the digest does not depend on the CPU count; an
+    exception in a worker re-raises here, the earliest block's.
+    """
+    digest = hashlib.sha256(_OPEN % ensemble.ambient_dim)
+    count = len(ensemble.messages)
+    workers = worker_count(count) if 2 * count * ensemble.ambient_dim >= _FORK_FLOATS else 1
+    bounds = [count * i // workers for i in range(workers + 1)]
+    finishes = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            finishes.append(start_worker(_message_block, ensemble, start, stop))
+        for piece in _message_pieces(ensemble, 0, bounds[1]):
+            digest.update(piece)
+    finally:
+        raised = [finish(digest.update) for finish in finishes]
+    for exc in raised:
+        if exc is not None:
+            raise exc
+    digest.update(_CLOSE)
     return digest.hexdigest()

@@ -387,13 +387,24 @@ def read_transcript(path) -> tuple[dict, list[dict]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError("transcript file is empty")
-    header = json.loads(lines[0])
+    header = _json_line(lines[0], 1)
     if not isinstance(header, dict):
         raise ValueError("transcript header: expected an object")
-    records = [json.loads(line) for line in lines[1:] if line.strip()]
+    records = [_json_line(line, number) for number, line in enumerate(lines[1:], 2) if line.strip()]
     if header.get("n") != len(records):
         raise ValueError("header count does not match the number of records")
     return header, records
+
+
+def _json_line(line: str, number: int):
+    """The JSON document on line ``number`` of a transcript file, counted from 1."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"transcript line {number}: invalid JSON at column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond the int-conversion digit limit, or nesting too deep
+        raise ValueError(f"transcript line {number}: invalid JSON: {exc}") from None
 
 
 def replay_decode(codebook: Codebook, table: PrefixCodeTable, record_doc: dict) -> np.ndarray:

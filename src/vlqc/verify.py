@@ -7,8 +7,6 @@ a verification run is reproducible.
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -35,6 +33,7 @@ from .sidechannel import (
     expected_code_length,
     shannon_entropy,
 )
+from .workers import start_call, worker_count
 
 DEFAULT_SEED = 20260810
 GRID_MAX_SYMBOLS = 5  # the exhaustive Huffman oracle's largest alphabet
@@ -251,96 +250,6 @@ def check_subjects(first, start: int, stop: int, child_seeds: list[int], tol: fl
     return failures, lower_failures, session_failures
 
 
-# ---------------------------------------------------------------------------
-# forked workers
-
-
-def _worker_count(subjects: int) -> int:
-    """Processes to check ``subjects`` subjects in: one per CPU in this process's
-    affinity mask, where the platform reports one (Linux), and never more than
-    there are subjects."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), subjects)
-
-
-class WorkerTraceback(Exception):
-    """A worker's formatted traceback, chained as the cause of its re-raised exception."""
-
-
-def _start_worker(fn, *args):
-    """Start ``fn(*args)`` in a forked child process.
-
-    Returns a function that waits for the child, never raising, and gives
-    ``(True, result)`` or ``(False, exception)``; an exception raised in the
-    child carries the child's traceback as its cause. The child writes one
-    pickle to a pipe and leaves by ``os._exit``, so it runs no exit handler
-    and flushes no buffer it inherited. If the process cannot fork, the
-    returned function runs ``fn`` in this process instead.
-
-    A bare fork, not a spawned or forkserver worker: those import numpy and
-    the package again, which costs about as much as the subjects they would
-    check, and ``multiprocessing`` itself would add to every ``vlqc verify``'s
-    memory. The caller forks before it does any other work, and this module
-    starts no thread.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory
-        os.close(read_fd)
-        os.close(write_fd)
-        return lambda: _call(fn, *args)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps((True, fn(*args)))
-            except BaseException as exc:  # every failure goes to the parent
-                import traceback
-
-                try:
-                    raised = pickle.dumps(exc)
-                except Exception:
-                    raised = None
-                payload = pickle.dumps((False, (traceback.format_exc(), raised)))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-
-    def wait():
-        with open(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        try:
-            ok, value = pickle.loads(payload)
-        except Exception:  # the child died before it wrote its whole result
-            return False, RuntimeError(f"verify worker {pid} left no result (wait status {status})")
-        if ok:
-            return True, value
-        text, raised = value
-        try:
-            exc = pickle.loads(raised)
-        except Exception:
-            exc = RuntimeError(f"verify worker {pid} raised an exception that cannot be rebuilt here")
-        exc.__cause__ = WorkerTraceback(text)
-        return False, exc
-
-    return wait
-
-
-def _call(fn, *args):
-    """``(True, fn(*args))``, or ``(False, exception)`` if it raises."""
-    try:
-        return True, fn(*args)
-    except Exception as exc:
-        return False, exc
-
-
 def run_all(
     trials: int = 100,
     seed: int = DEFAULT_SEED,
@@ -366,7 +275,7 @@ def run_all(
     else:
         first, count = (reference_ensemble(), REFERENCE_K), trials + 1
 
-    workers = _worker_count(count)
+    workers = worker_count(count)
     if workers == 1:
         blocks = [check_subjects(first, 0, count, child_seeds, tol)]
         scanned = _scans(*first, child_seeds, trials, seed, tol)
@@ -375,7 +284,7 @@ def run_all(
         waits = []
         try:
             for start, stop in zip(bounds, bounds[1:]):
-                waits.append(_start_worker(check_subjects, first, start, stop, child_seeds, tol))
+                waits.append(start_call(check_subjects, first, start, stop, child_seeds, tol))
             scanned = _scans(*first, child_seeds, trials, seed, tol)
         finally:
             outcomes = [wait() for wait in waits]

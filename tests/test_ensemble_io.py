@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import sys
 import tracemalloc
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_verify import LINUX, assert_no_child_left, count_forks, set_cpus
+from vlqc import ensemble_io, workers
 from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
@@ -21,6 +24,7 @@ from vlqc.ensemble_io import (
     parse_ensemble,
 )
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
+from vlqc.verify import random_ensemble
 
 VALID_DOC = {
     "k": 2,
@@ -157,6 +161,28 @@ def test_hash_holds_one_message_at_a_time():
     finally:
         tracemalloc.stop()
     # building the whole document and its nested pair lists peaks at about 8x its size
+    assert peak < size / 4
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """ensemble_hash splits every ensemble into blocks, however small."""
+    monkeypatch.setattr(ensemble_io, "_FORK_FLOATS", 0)
+
+
+def test_forked_hash_holds_one_piece_at_a_time(monkeypatch, forked):
+    set_cpus(monkeypatch, 2)
+    ensemble = _realistic_ensemble()
+    size = len(canonical_ensemble_bytes(ensemble))
+    tracemalloc.start()
+    try:
+        digest = ensemble_hash(ensemble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_no_child_left()
+    assert digest == hashlib.sha256(canonical_ensemble_bytes(ensemble)).hexdigest()
+    # the worker's half would be size / 2 if it were read back whole
     assert peak < size / 4
 
 
@@ -365,3 +391,92 @@ def test_amplitude_check_accepts_and_refuses_as_the_per_pair_check(case, pos):
         got = parse_amps(raw, d, where)
         assert got.dtype == expected.dtype and got.shape == expected.shape == (d,)
         assert got.tobytes() == expected.tobytes()
+
+
+def _small_ensemble(m: int, d: int = 2) -> SourceEnsemble:
+    rng = np.random.default_rng(m)
+    return SourceEnsemble(
+        tuple(SourceMessage(f"m{i}", rng.normal(size=d) + 1j * rng.normal(size=d), 1 / m) for i in range(m)),
+        ambient_dim=d,
+    )
+
+
+def _edge_ensemble() -> SourceEnsemble:
+    """A -0.0 amplitude, a non-ASCII id and an int probability, one per block on three CPUs."""
+    return SourceEnsemble(
+        (
+            SourceMessage("a", np.array([-0.0, 1.0, 1.0, -0.0]).view(complex), 1e-10),
+            SourceMessage('é漢😀"\\', np.array([1e-5, -0.0, -0.0, 1e150]).view(complex), 1e-10),
+            SourceMessage("z", np.array([-0.0, 0.0, 3.0, -0.0]).view(complex), 1),
+        ),
+        ambient_dim=2,
+    )
+
+
+def test_forked_hash_equals_the_pins(forked):
+    assert ensemble_hash(reference_ensemble()) == (
+        "4e2d74f96dad39efe4d0ce03716b2dec666a09a13a6091858457c02c05562484"
+    )
+    assert ensemble_hash(_realistic_ensemble()) == (
+        "49ad60b527177c9d040f6fa986603f7f0a066c5f393cd1afae518755fda314c0"
+    )
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [_small_ensemble(1), _small_ensemble(3), _small_ensemble(5), _edge_ensemble()],
+    ids=["one-message", "fewer-messages-than-cpus", "one-more-message-than-cpus", "edge-values"],
+)
+@pytest.mark.parametrize("cpus", [3, 4])
+def test_forked_hash_equals_the_document_digest(monkeypatch, forked, ensemble, cpus):
+    set_cpus(monkeypatch, cpus)
+    assert ensemble_hash(ensemble) == hashlib.sha256(_document_bytes(ensemble)).hexdigest()
+    assert_no_child_left()
+
+
+def test_hash_makes_no_fork_in_one_cpu_or_below_the_bound(monkeypatch):
+    # the pinned ensembles and the reference_session and verify_suite benchmark
+    # ensembles (d <= 6, m <= 12) stay in this process however many CPUs
+    set_cpus(monkeypatch, 4)
+    calls = count_forks(monkeypatch)
+    rng = np.random.default_rng(0)
+    for ensemble in [reference_ensemble(), _realistic_ensemble(), random_ensemble(rng, 6, 12)]:
+        ensemble_hash(ensemble)
+    assert calls == []
+    monkeypatch.setattr(ensemble_io, "_FORK_FLOATS", 0)
+    set_cpus(monkeypatch, 1)
+    assert ensemble_hash(_realistic_ensemble()) == (
+        "49ad60b527177c9d040f6fa986603f7f0a066c5f393cd1afae518755fda314c0"
+    )
+    assert calls == []
+
+
+def test_hash_falls_back_to_this_process_when_fork_is_refused(monkeypatch, forked):
+    set_cpus(monkeypatch, 3)
+    calls = count_forks(monkeypatch)
+    ensemble = _realistic_ensemble()
+    assert ensemble_hash(ensemble) == "49ad60b527177c9d040f6fa986603f7f0a066c5f393cd1afae518755fda314c0"
+    assert len(calls) == 2
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+def test_an_exception_in_a_hash_worker_reraises_here(monkeypatch, forked):
+    set_cpus(monkeypatch, 2)
+    ensemble, parent = _realistic_ensemble(), os.getpid()
+    last = ensemble.messages[-1].id
+    real = ensemble_io._message_tail
+
+    def message_tail(m):
+        if m.id == last:
+            assert os.getpid() != parent, "the last message was formatted in the test process"
+            raise LookupError("planted crash")
+        return real(m)
+
+    monkeypatch.setattr(ensemble_io, "_message_tail", message_tail)
+    with pytest.raises(LookupError, match="planted crash") as info:
+        ensemble_hash(ensemble)
+    assert_no_child_left()
+    cause = info.value.__cause__
+    assert isinstance(cause, workers.WorkerTraceback)
+    assert "planted crash" in str(cause) and "_message_block" in str(cause)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ def test_read_transcript_refuses_a_header_that_is_not_an_object(tmp_path, header
     path.write_text(header + "\n")
     with pytest.raises(ValueError, match="transcript header: expected an object"):
         read_transcript(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2}\n{"a": 1}\n{"b": oops}\n', "transcript line 3: invalid JSON at column 7: Expecting value"),
+        ('{"n": oops}\n', "transcript line 1: invalid JSON at column 7: Expecting value"),
+        # a blank line still counts, and nesting too deep is refused too
+        ('{"n": 1}\n\n' + "[" * 100_000 + "\n", "transcript line 3: invalid JSON: maximum recursion depth"),
+    ],
+)
+def test_read_transcript_names_the_line_of_invalid_json(tmp_path, text, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        read_transcript(path)
+    assert not isinstance(info.value, json.JSONDecodeError)
 
 
 def _without(key):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from vlqc import verify
+from vlqc import verify, workers
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 
 SEED = 7
@@ -28,7 +28,7 @@ def assert_no_child_left():
 
 
 def count_forks(monkeypatch) -> list[int]:
-    """Make os.fork record each call and fail, so that run_all falls back to this process."""
+    """Make os.fork record each call and fail, so that the caller falls back to this process."""
     calls = []
 
     def fork():
@@ -118,7 +118,7 @@ def test_an_exception_in_a_subject_reraises_here(monkeypatch, cpus):
     cause = info.value.__cause__
     if cause is not None:
         # raised in a worker: its traceback comes along as the cause
-        assert isinstance(cause, verify.WorkerTraceback)
+        assert isinstance(cause, workers.WorkerTraceback)
         assert "planted crash" in str(cause) and "check_subjects" in str(cause)
 
 
