@@ -33,8 +33,23 @@ class SourceMessage:
 
     def __post_init__(self):
         amps = linalg.as_state(self.amps)
+        with np.errstate(over="ignore"):
+            self._set_states(amps)
+
+    @classmethod
+    def of_finite(cls, id: str, amps: np.ndarray, probability: float) -> SourceMessage:
+        """The message whose ``amps`` as_state's rules already passed (a parsed
+        file's row), built by the same rules without testing them again; the
+        caller holds np.errstate(over="ignore")."""
+        msg = cls.__new__(cls)
+        object.__setattr__(msg, "id", id)
+        object.__setattr__(msg, "probability", probability)
+        msg._set_states(amps)
+        return msg
+
+    def _set_states(self, amps: np.ndarray) -> None:
         try:
-            unit = linalg.normalize(amps)
+            unit = linalg.normalize_finite(amps)
         except ValueError as exc:
             raise ValueError(f"message {self.id!r}: {exc}") from None
         if not self.probability > 0.0:
@@ -86,7 +101,7 @@ def _independent(ensemble: SourceEnsemble):
     """The unit states (input order), select_independent's messages, and orthonormal rows spanning them."""
     units = np.array([m.unit_amps() for m in ensemble.messages])
     order = sorted(range(len(units)), key=lambda i: -ensemble.messages[i].probability)
-    kept, rows = linalg.independent_rows(units[i] for i in order)
+    kept, rows = linalg.independent_rows(units[order])
     return units, [ensemble.messages[order[i]] for i in kept], rows
 
 

@@ -78,22 +78,45 @@ def parse_amps(raw, count: int, where: str) -> np.ndarray:
     """``count`` stored [re, im] pairs of finite numbers as a complex vector."""
     if not isinstance(raw, list) or len(raw) != count:
         raise EnsembleFormatError(f"{where}: expected {count} [re, im] pairs")
-    pairs = None
-    # whole-list passes in C; the per-pair scan below only locates a refusal
-    if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
-        flat = list(chain.from_iterable(raw))
-        if set(map(type, flat)) <= {int, float}:
-            try:
-                pairs = np.array(flat, dtype=float)
-            except OverflowError:
-                pass
-    if pairs is None or not np.isfinite(pairs).all():
+    block = _pair_block([raw])
+    if block is None:
+        # the per-pair scan only locates the refusal
         pos = next(
             pos for pos, pair in enumerate(raw)
             if not (type(pair) is list and len(pair) == 2 and all(map(_is_finite_number, pair)))
         )
         raise EnsembleFormatError(f"{where}[{pos}]: expected an [re, im] pair of finite numbers")
-    return pairs.view(complex)
+    return block[0]
+
+
+def _pair_block(raws: list) -> np.ndarray | None:
+    """The stored pairs of ``raws``, lists of one length, as a complex array
+    with a row per list; None unless every pair is an [re, im] pair of finite
+    numbers. Whole-list passes in C and one np.array over all the pairs."""
+    pairs = list(chain.from_iterable(raws))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        block = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(block).all():
+        return None
+    return block.view(complex).reshape(len(raws), -1)
+
+
+def _amplitude_block(raw_messages: list, count: int) -> np.ndarray | None:
+    """Every message's ``amps`` as one (m, count) block, with the bits
+    :func:`parse_amps` gives each, when it accepts all of them; else None."""
+    if set(map(type, raw_messages)) != {dict}:
+        return None
+    raws = [raw.get("amps") for raw in raw_messages]
+    if set(map(type, raws)) != {list} or set(map(len, raws)) != {count}:
+        return None
+    return _pair_block(raws)
 
 
 def parse_ensemble(text: str) -> EnsembleFile:
@@ -125,18 +148,24 @@ def _parse(text: str) -> EnsembleFile:
     if not raw_messages:
         raise EnsembleFormatError("messages: must be nonempty")
 
+    block = _amplitude_block(raw_messages, ambient_dim)
     messages = []
-    for pos, raw in enumerate(raw_messages):
-        where = f"messages[{pos}]"
-        if not isinstance(raw, dict):
-            raise EnsembleFormatError(f"{where}: expected an object")
-        msg_id = require_key(raw, "id", str, where)
-        p = require_key(raw, "p", float, where)
-        amps = parse_amps(raw.get("amps"), ambient_dim, f"{where}.amps")
-        try:
-            messages.append(SourceMessage(msg_id, linalg.normalize(amps) if normalize else amps, p))
-        except ValueError as exc:
-            raise EnsembleFormatError(f"{where}: {exc}") from None
+    with np.errstate(over="ignore"):
+        for pos, raw in enumerate(raw_messages):
+            where = f"messages[{pos}]"
+            if not isinstance(raw, dict):
+                raise EnsembleFormatError(f"{where}: expected an object")
+            msg_id = require_key(raw, "id", str, where)
+            p = require_key(raw, "p", float, where)
+            if block is not None:
+                amps = block[pos]
+            else:  # some message is refused: read each on its own, so that the first fault raises
+                amps = parse_amps(raw.get("amps"), ambient_dim, f"{where}.amps")
+            try:
+                stored = linalg.normalize_finite(amps) if normalize else amps
+                messages.append(SourceMessage.of_finite(msg_id, stored, p))
+            except ValueError as exc:
+                raise EnsembleFormatError(f"{where}: {exc}") from None
 
     total = sum(m.probability for m in messages)
     if abs(total - 1.0) > PROBABILITY_FILE_TOL:

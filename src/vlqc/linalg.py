@@ -45,11 +45,26 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d complex array, bit for bit, without its wrapper:
+    the same raveling and the same two dots, summed and square-rooted as floats.
+    A dot that overflows warns unless the caller holds np.errstate(over="ignore")."""
+    v = v.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+
+
 def normalize(v) -> np.ndarray:
     """v / ||v||; rejects near-zero input and input whose norm overflows a float."""
     v = as_state(v)
     with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(v))
+        return normalize_finite(v)
+
+
+def normalize_finite(v: np.ndarray) -> np.ndarray:
+    """:func:`normalize` of an array that as_state's rules already passed, without
+    testing them again; the caller holds np.errstate(over="ignore")."""
+    n = _norm(v)
     if n <= ZERO_TOL:
         raise ValueError("cannot normalize a near-zero vector")
     if not math.isfinite(n):
@@ -63,10 +78,17 @@ def independent_rows(vectors: Iterable) -> tuple[list[int], np.ndarray]:
     Gram-Schmidt with one reorthogonalization ("twice is enough", Giraud, Langou
     & Rozložník 2005); a vector is kept iff its residual norm exceeds
     DEPENDENCE_TOL times its own, and its normalized residual (phase
-    inherited) is the next row. Stops once the rows span the space.
+    inherited) is the next row. Stops once the rows span the space. The rows
+    of a 2-d array are tested for finiteness at once, other vectors one by one.
     """
-    vectors = [as_state(v) for v in vectors]
-    dim = vectors[0].shape[0] if vectors else 0
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1]:
+        # the rows of one array: one finiteness test for all of them
+        vectors = np.asarray(vectors, dtype=complex)
+        if not np.isfinite(vectors).all():
+            raise ValueError("vector contains NaN or Inf")
+    else:
+        vectors = [as_state(v) for v in vectors]
+    dim = vectors[0].shape[0] if len(vectors) else 0
     rows = np.empty((min(len(vectors), dim), dim), dtype=complex)
     kept: list[int] = []
     for pos, v in enumerate(vectors):
@@ -75,8 +97,8 @@ def independent_rows(vectors: Iterable) -> tuple[list[int], np.ndarray]:
         basis, residual = rows[: len(kept)], v
         for _ in range(2):
             residual = residual - (basis @ residual.conj()).conj() @ basis
-        rnorm = float(np.linalg.norm(residual))
-        if rnorm > DEPENDENCE_TOL * float(np.linalg.norm(v)):
+        rnorm = _norm(residual)
+        if rnorm > DEPENDENCE_TOL * _norm(v):
             rows[len(kept)] = residual / rnorm
             kept.append(pos)
     return kept, rows[: len(kept)]

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import ensemble_hash, parse_amps, require_key
 from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
@@ -310,25 +309,30 @@ def verify_lossless(
 
 
 # The halves of a record line around its index: the sorted-key json.dumps of
-# the draw's object, written by template. The bits are 0/1 text, the fidelity
-# a finite float and the payload a nested list of finite floats, whose %r is
-# their JSON text with the default separators; the id is escaped as json.dumps
-# escapes it.
+# the draw's object, written by template. The bits are 0/1 text, and the
+# fidelity and the payload's components finite floats, whose %r is their JSON
+# text; the payload's [re, im] pairs carry json.dumps's default separators,
+# and the id is escaped as json.dumps escapes it.
 _LINE_PREFIX = '{"baseLength": %d, "classicalBits": "%s", "fidelity": %r, "index": '
-_LINE_SUFFIX = ', "messageId": %s, "payloadAmps": %r}'
+_LINE_SUFFIX = ', "messageId": %s, "payloadAmps": [%s]}'
 
 
 def _line_halves(base_lengths, classical_bits, fidelities, message_ids, payloads):
     """Each message's record-line text before and after the draw index.
 
     ``base_lengths`` are ints and ``fidelities`` Python floats: under numpy 2,
-    %r of an np.float64 is not its JSON text.
+    %r of an np.float64 is not its JSON text. Each payload is formatted from
+    its flat row of floats, through one template per payload size.
     """
     prefixes = [_LINE_PREFIX % row for row in zip(base_lengths, classical_bits, fidelities)]
-    suffixes = [
-        _LINE_SUFFIX % (encode_basestring_ascii(message_id), linalg.complex_pairs(payload))
-        for message_id, payload in zip(message_ids, payloads)
-    ]
+    templates: dict[int, str] = {}
+    suffixes = []
+    for message_id, payload in zip(message_ids, payloads):
+        size = payload.size
+        if size not in templates:
+            templates[size] = _LINE_SUFFIX % ("%s", ", ".join(["[%r, %r]"] * size))
+        row = np.ascontiguousarray(payload).view(np.float64).tolist()
+        suffixes.append(templates[size] % (encode_basestring_ascii(message_id), *row))
     return prefixes, suffixes
 
 

@@ -10,6 +10,7 @@ from vlqc.cli import main, report_document
 from vlqc.codec import build_codebook
 from vlqc.ensemble_io import dump_ensemble, load_ensemble
 from vlqc.metrics import compile_report
+from vlqc.protocol import run_session, transcript_lines
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 from vlqc.verify import random_ensemble
 
@@ -181,6 +182,53 @@ def test_report_file_bytes_are_the_benchmarked_serialization(tmp_path, capsys, s
     capsys.readouterr()
     doc = report_document(ensemble, codebook, compile_report(ensemble, codebook))
     assert out_path.read_bytes() == _document_bytes(doc)
+
+
+def _tiny_ensemble_text(seed: int, d: int, m: int, k: int) -> str:
+    """An ensemble file as the benchmark's verify_suite writes one: normal
+    [re, im] floats, normalized on load, and float probabilities."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(m) + 0.05
+    probs /= probs.sum()
+    amps = rng.normal(size=(m, d, 2))
+    messages = [{"id": f"m{i}", "p": float(probs[i]), "amps": amps[i].tolist()} for i in range(m)]
+    return json.dumps({"k": k, "ambientDim": d, "normalize": True, "messages": messages})
+
+
+# (seed, d, m, k, sha256 of the analyze --out report, sha256 of the n = 64
+# transcript), taken while each message was parsed and normalized on its own
+TINY_PINS = [
+    (
+        11, 2, 5, 2,
+        "e8ab10faf3e54ee8f42d3201343d2da29a365c7f5af7f6c3c2ede76ea3d79f60",
+        "6c5aff045d7c1534ab92a7d19dde57821753934e109aa8b0fcd7d9ae2be5d8f9",
+    ),
+    (
+        12, 4, 9, 3,
+        "34969a6b0706b74178921462decb368fcbc1c03d73625ed41a139ed6478d9726",
+        "1287144a1b8ce3e5fb40380ea08f641e5c25a4a2a55b77ec48e50b22ebe8c3b9",
+    ),
+    (
+        13, 6, 12, 2,
+        "79f0375a56e1dfab5b28bae9d26030d2d82d3d4ea0a20090d062a684232f232a",
+        "350512b658b60e0d105dda9a5346ab49764fda1741a9b7bbc26d8ee487889f7b",
+    ),
+]
+
+
+@pytest.mark.parametrize("seed, d, m, k, report_digest, transcript_digest", TINY_PINS, ids=["d2-k2", "d4-k3", "d6-k2"])
+def test_tiny_ensemble_outputs_are_pinned(tmp_path, capsys, seed, d, m, k, report_digest, transcript_digest):
+    path, report, transcript = tmp_path / "ensemble.json", tmp_path / "report.json", tmp_path / "transcript.jsonl"
+    path.write_text(_tiny_ensemble_text(seed, d, m, k), encoding="utf-8")
+    assert main(["analyze", "--ensemble", str(path), "--out", str(report)]) == 0
+    assert main(["simulate", "--ensemble", str(path), "--n", "64", "--seed", str(seed), "--out", str(transcript)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+    efile = load_ensemble(path)
+    session = run_session(efile.ensemble, build_codebook(efile.ensemble, k=efile.k), n=64, seed=seed)
+    lines = ("\n".join(transcript_lines(session)) + "\n").encode("utf-8")
+    assert lines == transcript.read_bytes()
+    assert hashlib.sha256(lines).hexdigest() == transcript_digest
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_verify import LINUX, assert_no_child_left, count_forks, set_cpus
-from vlqc import ensemble_io, workers
+from vlqc import ensemble_io, linalg, workers
 from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
@@ -22,6 +23,7 @@ from vlqc.ensemble_io import (
     ensemble_hash,
     load_ensemble,
     parse_ensemble,
+    require_key,
 )
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 from vlqc.verify import random_ensemble
@@ -391,6 +393,112 @@ def test_amplitude_check_accepts_and_refuses_as_the_per_pair_check(case, pos):
         got = parse_amps(raw, d, where)
         assert got.dtype == expected.dtype and got.shape == expected.shape == (d,)
         assert got.tobytes() == expected.tobytes()
+
+
+def _per_message_parse(text: str) -> list[SourceMessage]:
+    """The parse's messages as read one message at a time: ``parse_amps``, then
+    ``linalg.normalize`` and the public constructor, then the probability rescale."""
+    doc = json.loads(text)
+    messages = []
+    for pos, raw in enumerate(doc["messages"]):
+        where = f"messages[{pos}]"
+        if not isinstance(raw, dict):
+            raise EnsembleFormatError(f"{where}: expected an object")
+        msg_id = require_key(raw, "id", str, where)
+        p = require_key(raw, "p", float, where)
+        amps = parse_amps(raw.get("amps"), doc["ambientDim"], f"{where}.amps")
+        try:
+            messages.append(SourceMessage(msg_id, linalg.normalize(amps) if doc.get("normalize", True) else amps, p))
+        except ValueError as exc:
+            raise EnsembleFormatError(f"{where}: {exc}") from None
+    total = sum(m.probability for m in messages)
+    if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
+        messages = [replace(m, probability=m.probability / total) for m in messages]
+    return messages
+
+
+# a number the documents below write as 1e400, which json.dumps cannot write
+OVERFLOW_MARKER = 7.77e77
+# a fault per message kind, each with the end of its refusal's text
+MESSAGE_FAULTS = {
+    "missing amps": (lambda raw, d: raw.pop("amps"), ".amps: expected {d} [re, im] pairs"),
+    "3-element pair": (lambda raw, d: raw["amps"][-1].append(0), ".amps[{last}]: expected an [re, im] pair of finite numbers"),
+    "bool": (lambda raw, d: raw["amps"][0].__setitem__(1, True), ".amps[0]: expected an [re, im] pair of finite numbers"),
+    "1e400": (lambda raw, d: raw["amps"][0].__setitem__(0, OVERFLOW_MARKER), ".amps[0]: expected an [re, im] pair of finite numbers"),
+    "int beyond float": (lambda raw, d: raw["amps"][-1].__setitem__(0, -(2**1024)), ".amps[{last}]: expected an [re, im] pair of finite numbers"),
+    "non-object": (None, ": expected an object"),
+    "missing p": (lambda raw, d: raw.pop("p"), ": missing key 'p'"),
+    "zero vector": (lambda raw, d: raw.update(amps=[[0, -0.0]] * d), ": cannot normalize a near-zero vector"),
+}
+# amplitudes whose norm stays finite in dimension 5
+amplitude_values = st.integers(-9, 9) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e-200, 0.1, -3.5, 1e150]
+) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def ensemble_documents(draw, faults=0):
+    """An ensemble file's text: 1-6 messages in dimension 1-5, int or float
+    amplitudes, normalize true, false or absent, and a probability sum exact or
+    off by a rescalable amount. Without ``faults`` an amplitude may be
+    -1.5e154, whose square alone overflows; with them, that many messages in
+    file order are broken, and the rest parse."""
+    d, m = draw(st.integers(1, 5)), draw(st.integers(max(1, faults), 6))
+    values = amplitude_values | st.just(-1.5e154) if not faults else amplitude_values
+    vectors = draw(st.lists(st.lists(st.tuples(values, values), min_size=d, max_size=d), min_size=m, max_size=m))
+    for vector in vectors:
+        vector[0] = (1, 0)  # no vector is zero, so every fault below is the only one in its message
+    probs = [1 / m] * m
+    probs[0] += draw(st.sampled_from([0.0, 2e-7, -5e-7]))
+    doc = {"k": draw(st.integers(2, 3)), "ambientDim": d}
+    normalize = draw(st.sampled_from([True, False, None]))
+    if normalize is not None:
+        doc["normalize"] = normalize
+    doc["messages"] = [
+        {"id": f"m{i}", "p": probs[i], "amps": [list(pair) for pair in vector]} for i, vector in enumerate(vectors)
+    ]
+    broken = sorted(draw(st.sets(st.integers(0, m - 1), min_size=faults, max_size=faults)))
+    kinds = [draw(st.sampled_from(sorted(MESSAGE_FAULTS))) for _ in broken]
+    for pos, kind in zip(broken, kinds):
+        mutate = MESSAGE_FAULTS[kind][0]
+        if mutate is None:
+            doc["messages"][pos] = [doc["messages"][pos]]
+        else:
+            mutate(doc["messages"][pos], d)
+    return json.dumps(doc).replace(repr(OVERFLOW_MARKER), "1e400"), d, list(zip(broken, kinds))
+
+
+@given(ensemble_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_equals_the_per_message_parse(case):
+    text, _, _ = case
+    try:
+        expected = _per_message_parse(text)
+    except EnsembleFormatError as exc:  # a vector whose norm overflows a float
+        with pytest.raises(EnsembleFormatError) as refused:
+            parse_ensemble(text)
+        assert str(refused.value) == str(exc)
+        return
+    got = parse_ensemble(text).ensemble.messages
+    assert [(m.id, m.probability) for m in got] == [(m.id, m.probability) for m in expected]
+    for g, e in zip(got, expected):
+        assert g.amps.tobytes() == e.amps.tobytes()
+        assert g.unit_amps().tobytes() == e.unit_amps().tobytes()
+
+
+@given(ensemble_documents(faults=2))
+@settings(max_examples=300, deadline=None)
+def test_parse_raises_the_first_faulty_messages_error(case):
+    text, d, [(pos, kind), _] = case
+    with pytest.raises(EnsembleFormatError) as expected:
+        _per_message_parse(text)
+    with pytest.raises(EnsembleFormatError) as refused:
+        parse_ensemble(text)
+    assert str(refused.value) == str(expected.value)
+    # the refusal names the first broken message and its fault; without
+    # normalization the constructor's near-zero refusal also names the id
+    assert str(refused.value).startswith(f"messages[{pos}]")
+    assert str(refused.value).endswith(MESSAGE_FAULTS[kind][1].format(d=d, last=d - 1))
 
 
 def _small_ensemble(m: int, d: int = 2) -> SourceEnsemble:

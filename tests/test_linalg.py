@@ -1,12 +1,15 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlqc.codec import SourceMessage
 from vlqc.linalg import (
+    _norm,
     complex_pairs,
     gc_paused,
     gram_schmidt,
@@ -73,6 +76,61 @@ def test_normalize_norm_overflow_raises():
         normalize([1e200, 1e200j])
 
 
+# the edges a norm must round through: signed zeros, subnormals, the smallest
+# normal float, and 1e153, whose square is finite but whose sum of squares
+# over a long vector overflows
+NORM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1e153, 1e153]
+
+
+@st.composite
+def norm_vectors(draw):
+    """A complex vector of 1 to 2048 entries at one drawn scale, with edge values
+    at drawn positions; real-valued (every imaginary part +0.0) half the time."""
+    size = draw(st.integers(1, 2048))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=(size, 2)) * 10.0 ** draw(st.integers(-300, 152))
+    edges = st.tuples(st.integers(0, size - 1), st.integers(0, 1), st.sampled_from(NORM_EDGES))
+    for pos, part, value in draw(st.lists(edges, max_size=8)):
+        parts[pos, part] = value
+    if draw(st.booleans()):
+        parts[:, 1] = 0.0
+    return parts.view(complex)[:, 0]
+
+
+@given(norm_vectors(), st.sampled_from(["contiguous", "strided", "reversed"]))
+@settings(max_examples=300, deadline=None)
+def test_norm_equals_numpy_norm_bit_for_bit(v, layout):
+    if layout == "strided":
+        v = np.repeat(v, 2)[::2]
+    elif layout == "reversed":
+        v = v[::-1]
+    with np.errstate(over="ignore"):
+        expected = np.float64(np.linalg.norm(v))
+        got = np.float64(_norm(v))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ([1e-13, 0, 0], "cannot normalize a near-zero vector"),
+        ([0j, -0.0], "cannot normalize a near-zero vector"),
+        ([1e200, 1e200j], "cannot normalize a vector whose norm overflows a float"),
+        ([1.7e308] * 3, "cannot normalize a vector whose norm overflows a float"),
+    ],
+)
+def test_normalize_refusals_keep_their_text_and_leak_no_warning(v, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as refused:
+            normalize(v)
+        with pytest.raises(ValueError) as refused_message:
+            SourceMessage("x", np.array(v, dtype=complex), 1.0)
+    assert str(refused.value) == message
+    assert str(refused_message.value) == f"message 'x': {message}"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_gram_schmidt_reference_vectors():
     basis = gram_schmidt([normalize(v) for v in (A, B, E, F)])
     assert len(basis) == 4
@@ -133,6 +191,8 @@ def test_in_span_accepts_stacked_rows():
     assert kept == [0, 1, 3]
     np.testing.assert_array_equal(rows, independent_rows(list(stack))[1])
     assert independent_rows(np.array([E]))[0] == [0]
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        independent_rows(np.array([A, [1, np.inf, 0, 0]]))
 
 
 @pytest.mark.parametrize(
