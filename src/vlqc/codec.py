@@ -8,6 +8,7 @@ shorter codewords; the empty codeword goes to the most probable message.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,13 @@ class SourceMessage:
         object.__setattr__(msg, "id", id)
         object.__setattr__(msg, "probability", probability)
         msg._set_states(amps)
+        return msg
+
+    def with_probability(self, probability: float) -> SourceMessage:
+        """This message with ``probability``, a positive rescale of its own,
+        sharing its read-only states instead of computing them again."""
+        msg = copy.copy(self)
+        object.__setattr__(msg, "probability", probability)
         return msg
 
     def _set_states(self, amps: np.ndarray) -> None:

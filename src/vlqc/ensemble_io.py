@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -97,6 +97,7 @@ def _pair_block(raws: list) -> np.ndarray | None:
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
     flat = list(chain.from_iterable(pairs))
+    del pairs  # the floats are all in flat now
     if not set(map(type, flat)) <= {int, float}:
         return None
     try:
@@ -171,7 +172,7 @@ def _parse(text: str) -> EnsembleFile:
     if abs(total - 1.0) > PROBABILITY_FILE_TOL:
         raise EnsembleFormatError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
     if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
-        messages = [replace(m, probability=m.probability / total) for m in messages]
+        messages = [m.with_probability(m.probability / total) for m in messages]
     try:
         return EnsembleFile(SourceEnsemble(tuple(messages), ambient_dim), k=k, normalize=normalize)
     except ValueError as exc:

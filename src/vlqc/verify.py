@@ -8,7 +8,7 @@ a verification run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -33,7 +33,7 @@ from .sidechannel import (
     expected_code_length,
     shannon_entropy,
 )
-from .workers import start_call, worker_count
+from .workers import run_tasks
 
 DEFAULT_SEED = 20260810
 GRID_MAX_SYMBOLS = 5  # the exhaustive Huffman oracle's largest alphabet
@@ -62,13 +62,16 @@ def random_unitary(rng, dim: int) -> np.ndarray:
 
 
 def random_ensemble(rng, ambient_dim: int, n_messages: int) -> SourceEnsemble:
+    """Random probabilities, then each message's real and imaginary normals in
+    turn, drawn in one call: the numbers of one real and one imaginary draw
+    per message."""
     probs = rng.random(n_messages) + 0.05
     probs /= probs.sum()
-    messages = []
-    for i in range(n_messages):
-        amps = rng.normal(size=ambient_dim) + 1j * rng.normal(size=ambient_dim)
-        messages.append(SourceMessage(id=f"m{i}", amps=amps, probability=float(probs[i])))
-    return SourceEnsemble(messages=tuple(messages), ambient_dim=ambient_dim)
+    normals = rng.normal(size=(n_messages, 2, ambient_dim))
+    amps = normals[:, 0] + 1j * normals[:, 1]
+    with np.errstate(over="ignore"):
+        messages = tuple(SourceMessage.of_finite(f"m{i}", amps[i], float(probs[i])) for i in range(n_messages))
+    return SourceEnsemble(messages=messages, ambient_dim=ambient_dim)
 
 
 def near_dependent_ensemble(rng, ambient_dim: int, n_messages: int, eps: float) -> SourceEnsemble:
@@ -260,12 +263,14 @@ def run_all(
     """Run every property suite and return one result per property.
 
     The subjects are the ``ensemble`` given, or else the reference ensemble
-    and ``trials`` random ones. On Linux, with more than one CPU in the
-    affinity mask and more than one subject, contiguous blocks of subjects are
-    checked in forked children, one per CPU, while this process runs the other
-    suites. Every child is waited for before this returns, and the blocks'
-    failures are merged in subject order, so the results are the same on any
-    CPU count; an exception in a block re-raises here, the earliest block's.
+    and ``trials`` random ones. The five subject-free suites, the Huffman
+    grid first, and then each subject are one task apiece of
+    ``workers.run_tasks``: on Linux, with more than one CPU in the affinity
+    mask, this process and one forked worker per other CPU each take the
+    next task as they become free. The results come back in task order and
+    the subjects' failures are merged in subject order, so they are the same
+    on any CPU count; an exception in a task re-raises here, the
+    lowest-numbered task's.
     """
     check_tolerance(tol)
     master = np.random.SeedSequence(seed)
@@ -274,25 +279,15 @@ def run_all(
         first, count = (ensemble, k), 1
     else:
         first, count = (reference_ensemble(), REFERENCE_K), trials + 1
+    suites = _suites(*first, child_seeds, trials, seed, tol)
 
-    workers = worker_count(count)
-    if workers == 1:
-        blocks = [check_subjects(first, 0, count, child_seeds, tol)]
-        scanned = _scans(*first, child_seeds, trials, seed, tol)
-    else:
-        bounds = [count * i // workers for i in range(workers + 1)]
-        waits = []
-        try:
-            for start, stop in zip(bounds, bounds[1:]):
-                waits.append(start_call(check_subjects, first, start, stop, child_seeds, tol))
-            scanned = _scans(*first, child_seeds, trials, seed, tol)
-        finally:
-            outcomes = [wait() for wait in waits]
-        blocks = []
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            blocks.append(value)
+    def task(t: int):
+        if t < len(suites):
+            return suites[t]()
+        return check_subjects(first, t - len(suites), t - len(suites) + 1, child_seeds, tol)
+
+    outcomes = run_tasks(task, len(suites) + count)
+    scanned, blocks = outcomes[: len(suites)], outcomes[len(suites) :]
     failures, lower_failures, session_failures = (
         [line for block in blocks for line in block[i]] for i in range(3)
     )
@@ -305,14 +300,23 @@ def run_all(
     ]
 
 
-def _scans(
+def _suites(
     det_subject: SourceEnsemble, det_k: int, child_seeds: list[int], trials: int, seed: int, tol: float
-) -> list[PropertyResult]:
-    """The suites that need no random subject, in report order."""
-    results: list[PropertyResult] = []
+) -> list:
+    """The suites that need no random subject, in report order: calls that each
+    return one PropertyResult. The Huffman grid, the longest, comes first."""
+    return [
+        _huffman_suite,
+        partial(_stream_suite, child_seeds[trials]),
+        _nogo_suite,
+        partial(_dephasing_suite, child_seeds[trials + 1], tol),
+        partial(_determinism_suite, det_subject, det_k, seed),
+    ]
 
-    # Huffman optimality + Shannon chain on the 0.05 grid; PrefixCodeTable itself
-    # rejects a table that is not prefix-free, which also rules out breaking Kraft.
+
+def _huffman_suite() -> PropertyResult:
+    """Huffman optimality + Shannon chain on the 0.05 grid; PrefixCodeTable itself
+    rejects a table that is not prefix-free, which also rules out breaking Kraft."""
     huffman_failures: list[str] = []
     grid = grid_distributions()
     for counts in grid:
@@ -326,13 +330,13 @@ def _scans(
         entropy = shannon_entropy(dist.probs.values())
         if not (entropy - BOUND_TOL <= mean < entropy + 1.0):
             huffman_failures.append(f"counts {counts}: Shannon chain violated")
-    results.append(
-        _result("huffman-optimality-and-admissibility", huffman_failures, f"{len(grid)} grid distributions")
-    )
+    return _result("huffman-optimality-and-admissibility", huffman_failures, f"{len(grid)} grid distributions")
 
-    # Length stream round trips on random tables and sequences.
+
+def _stream_suite(stream_seed: int) -> PropertyResult:
+    """Length stream round trips on random tables and sequences."""
     stream_failures: list[str] = []
-    rng = np.random.default_rng(child_seeds[trials])
+    rng = np.random.default_rng(stream_seed)
     for trial in range(32):
         symbols = int(rng.integers(1, 9))
         probs = rng.random(symbols) + 0.05
@@ -343,9 +347,11 @@ def _scans(
         stream = encode_lengths(table, seq)
         if decode_lengths(table, stream, len(seq)) != seq:
             stream_failures.append(f"trial {trial}: round trip mismatch")
-    results.append(_result("length-stream-round-trip", stream_failures, "32 random tables"))
+    return _result("length-stream-round-trip", stream_failures, "32 random tables")
 
-    # No-go scans by exact counting.
+
+def _nogo_suite() -> PropertyResult:
+    """No-go scans by exact counting."""
     nogo_failures: list[str] = []
     for dim_v in range(1, 65):
         for scan_k in range(2, 5):
@@ -359,20 +365,24 @@ def _scans(
                 verdict = no_go_universal(scan_k, r, s)
                 if verdict.block_to_variable_feasible or verdict.variable_to_variable_feasible:
                     nogo_failures.append(f"universal ({scan_k}, {r}, {s}) feasible")
-    results.append(_result("no-go-scans", nogo_failures, "exact integer scans"))
+    return _result("no-go-scans", nogo_failures, "exact integer scans")
 
-    # Dephasing never lowers entropy.
+
+def _dephasing_suite(dephasing_seed: int, tol: float) -> PropertyResult:
+    """Dephasing never lowers entropy."""
     dephasing_failures: list[str] = []
-    rng = np.random.default_rng(child_seeds[trials + 1])
+    rng = np.random.default_rng(dephasing_seed)
     for trial in range(100):
         dim = int(rng.integers(2, 7))
         sigma = random_density(rng, dim)
         basis = list(random_unitary(rng, dim).T)
         if not dephasing_entropy_check(sigma, basis, tol=tol):
             dephasing_failures.append(f"trial {trial}: entropy decreased")
-    results.append(_result("dephasing-entropy-nondecrease", dephasing_failures, "100 random pairs"))
+    return _result("dephasing-entropy-nondecrease", dephasing_failures, "100 random pairs")
 
-    # Identical seeds give byte-identical transcripts.
+
+def _determinism_suite(det_subject: SourceEnsemble, det_k: int, seed: int) -> PropertyResult:
+    """Identical seeds give byte-identical transcripts."""
     try:
         det_codebook = build_codebook(det_subject, k=det_k)
         first = transcript_lines(run_session(det_subject, det_codebook, n=200, seed=seed))
@@ -381,6 +391,4 @@ def _scans(
         det_detail = "200-message session replayed identically" if det_ok else "transcripts differ"
     except ValueError as exc:
         det_ok, det_detail = False, f"session aborted: {exc}"
-    results.append(PropertyResult("transcript-determinism", det_ok, det_detail))
-
-    return results
+    return PropertyResult("transcript-determinism", det_ok, det_detail)

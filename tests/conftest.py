@@ -1,4 +1,5 @@
 import gc
+import signal
 import sys
 
 import numpy as np
@@ -24,6 +25,20 @@ def huffman_builds(monkeypatch):
         if name.split(".")[0] == "vlqc" and getattr(module, "build_huffman", None) is build_huffman:
             monkeypatch.setattr(module, "build_huffman", counting)
     return calls
+
+
+@pytest.fixture()
+def alarm():
+    """Fails the test with TimeoutError where it waits for more than a minute."""
+
+    def too_late(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, too_late)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

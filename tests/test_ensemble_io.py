@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_verify import LINUX, assert_no_child_left, count_forks, set_cpus
@@ -437,10 +437,10 @@ amplitude_values = st.integers(-9, 9) | st.sampled_from(
 
 
 @st.composite
-def ensemble_documents(draw, faults=0):
+def ensemble_documents(draw, faults=0, sum_offsets=(0.0, 2e-7, -5e-7)):
     """An ensemble file's text: 1-6 messages in dimension 1-5, int or float
-    amplitudes, normalize true, false or absent, and a probability sum exact or
-    off by a rescalable amount. Without ``faults`` an amplitude may be
+    amplitudes, normalize true, false or absent, and a probability sum off by
+    one of ``sum_offsets``: exact or a rescalable amount. Without ``faults`` an amplitude may be
     -1.5e154, whose square alone overflows; with them, that many messages in
     file order are broken, and the rest parse."""
     d, m = draw(st.integers(1, 5)), draw(st.integers(max(1, faults), 6))
@@ -449,7 +449,7 @@ def ensemble_documents(draw, faults=0):
     for vector in vectors:
         vector[0] = (1, 0)  # no vector is zero, so every fault below is the only one in its message
     probs = [1 / m] * m
-    probs[0] += draw(st.sampled_from([0.0, 2e-7, -5e-7]))
+    probs[0] += draw(st.sampled_from(sum_offsets))
     doc = {"k": draw(st.integers(2, 3)), "ambientDim": d}
     normalize = draw(st.sampled_from([True, False, None]))
     if normalize is not None:
@@ -479,11 +479,30 @@ def test_parse_equals_the_per_message_parse(case):
             parse_ensemble(text)
         assert str(refused.value) == str(exc)
         return
-    got = parse_ensemble(text).ensemble.messages
+    assert_same_messages(parse_ensemble(text).ensemble.messages, expected)
+
+
+def assert_same_messages(got, expected):
     assert [(m.id, m.probability) for m in got] == [(m.id, m.probability) for m in expected]
-    for g, e in zip(got, expected):
+    for g, e in zip(got, expected, strict=True):
         assert g.amps.tobytes() == e.amps.tobytes()
         assert g.unit_amps().tobytes() == e.unit_amps().tobytes()
+        assert not g.amps.flags.writeable and not g.unit_amps().flags.writeable
+
+
+@given(ensemble_documents(sum_offsets=(2e-7, -5e-7)))
+@settings(max_examples=200, deadline=None)
+def test_a_rescaled_sum_gives_the_messages_replace_gives(case):
+    # the parse hands its built states to the rescaled messages; the reference
+    # builds each message again through dataclasses.replace
+    text, _, _ = case
+    try:
+        expected = _per_message_parse(text)
+    except EnsembleFormatError:  # a vector whose norm overflows a float
+        assume(False)
+    got = parse_ensemble(text).ensemble.messages
+    assert [m.probability for m in got] != [raw["p"] for raw in json.loads(text)["messages"]]
+    assert_same_messages(got, expected)
 
 
 @given(ensemble_documents(faults=2))

@@ -5,8 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlqc import verify, workers
+from vlqc.codec import SourceMessage
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 
 SEED = 7
@@ -73,12 +76,12 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch, trials):
 
 @pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_subjects_are_split_into_one_block_per_cpu(monkeypatch, cpus):
+def test_one_worker_is_forked_per_other_cpu(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     calls = count_forks(monkeypatch)
     reference = verify.run_all(trials=10, seed=SEED)
-    # every fork was refused, so each block ran in this process instead
-    assert len(calls) == cpus
+    # every fork was refused, so this process took every task instead
+    assert len(calls) == cpus - 1
     monkeypatch.undo()
     assert verify.run_all(trials=10, seed=SEED) == reference
 
@@ -122,13 +125,45 @@ def test_an_exception_in_a_subject_reraises_here(monkeypatch, cpus):
         assert "planted crash" in str(cause) and "check_subjects" in str(cause)
 
 
+@pytest.fixture()
+def subject_in_a_worker(monkeypatch, alarm):
+    """``install(in_worker)`` makes a worker run ``in_worker(*args)`` in place of
+    every ``check_subjects`` call it takes, after it tells this process so.
+    This process's first subject waits for that word, so some worker takes a
+    subject whichever tasks each process happens to take. Two CPUs."""
+    set_cpus(monkeypatch, 2)
+    parent, (read_fd, write_fd) = os.getpid(), os.pipe()
+    real, waited = verify.check_subjects, []
+
+    def install(in_worker):
+        def check_subjects(*args):
+            if os.getpid() != parent:
+                os.write(write_fd, b"!")
+                return in_worker(*args)
+            if not waited:
+                waited.append(os.read(read_fd, 1))
+            return real(*args)
+
+        monkeypatch.setattr(verify, "check_subjects", check_subjects)
+
+    try:
+        yield install
+        os.set_blocking(read_fd, False)
+        assert waited or os.read(read_fd, 1) == b"!"
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
 @pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
-def test_an_exception_that_cannot_be_pickled_reraises_as_runtime_error(monkeypatch):
+def test_an_exception_that_cannot_be_pickled_reraises_as_runtime_error(subject_in_a_worker):
     class LocalError(Exception):
         pass
 
-    set_cpus(monkeypatch, 2)
-    plant(monkeypatch, 10, {8: LocalError("local crash")})
+    def crash(*args):
+        raise LocalError("local crash")
+
+    subject_in_a_worker(crash)
     with pytest.raises(RuntimeError, match="cannot be rebuilt") as info:
         verify.run_all(trials=10, seed=SEED)
     assert_no_child_left()
@@ -136,32 +171,25 @@ def test_an_exception_that_cannot_be_pickled_reraises_as_runtime_error(monkeypat
 
 
 @pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
-def test_a_worker_that_dies_without_a_result_is_reported(monkeypatch):
-    set_cpus(monkeypatch, 2)
-    target, parent = child_seeds(10)[9], os.getpid()
-    real = verify.check_session
-
-    def check_session(ensemble, codebook, n, seed, tol):
-        if seed == target:
-            assert os.getpid() != parent, "subject 9 was checked in the test process"
-            os._exit(3)
-        return real(ensemble, codebook, n=n, seed=seed, tol=tol)
-
-    monkeypatch.setattr(verify, "check_session", check_session)
+def test_a_worker_that_dies_without_a_result_is_reported(subject_in_a_worker):
+    subject_in_a_worker(lambda *args: os._exit(3))
     with pytest.raises(RuntimeError, match="left no result"):
         verify.run_all(trials=10, seed=SEED)
     assert_no_child_left()
 
 
-def test_one_ensemble_and_no_trials_start_no_process(monkeypatch):
+def test_one_ensemble_and_no_trials_leave_no_process(monkeypatch):
+    # with the five suites, one subject is six tasks, so they may fork
     set_cpus(monkeypatch, 4)
-    calls = count_forks(monkeypatch)
     results = verify.run_all(trials=100, seed=SEED, ensemble=reference_ensemble(), k=REFERENCE_K)
     assert all(r.passed for r in results)
     assert results[0].detail == "1 ensemble(s) checked"
-    verify.run_all(trials=0, seed=SEED)
-    assert calls == []
     assert_no_child_left()
+    none = verify.run_all(trials=0, seed=SEED)
+    assert_no_child_left()
+    set_cpus(monkeypatch, 1)
+    assert verify.run_all(trials=0, seed=SEED) == none
+    assert verify.run_all(trials=100, seed=SEED, ensemble=reference_ensemble(), k=REFERENCE_K) == results
 
 
 def test_subjects_follow_the_seed_rule(monkeypatch):
@@ -207,3 +235,26 @@ def test_check_subjects_builds_one_huffman_table_per_subject(huffman_builds):
     failures = verify.check_subjects((reference_ensemble(), REFERENCE_K), 0, 6, seeds, 1e-9)
     assert failures == ([], [], [])
     assert len(huffman_builds) == 6
+
+
+@given(seed=st.integers(0, 2**63 - 1), d=st.integers(1, 8), m=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_random_ensemble_draws_what_one_draw_per_message_drew(seed, d, m):
+    got_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify.random_ensemble(got_rng, d, m)
+    # the reference: one real and one imaginary draw per message, each through
+    # the public constructor
+    probs = rng.random(m) + 0.05
+    probs /= probs.sum()
+    expected = []
+    for i in range(m):
+        amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+        expected.append(SourceMessage(id=f"m{i}", amps=amps, probability=float(probs[i])))
+    assert got.ambient_dim == d
+    assert [(g.id, g.probability) for g in got.messages] == [(e.id, e.probability) for e in expected]
+    for g, e in zip(got.messages, expected, strict=True):
+        assert g.amps.tobytes() == e.amps.tobytes()
+        assert g.unit_amps().tobytes() == e.unit_amps().tobytes()
+        assert not g.amps.flags.writeable and not g.unit_amps().flags.writeable
+    # the subject's k is drawn next, from the same generator state
+    assert got_rng.bit_generator.state == rng.bit_generator.state
