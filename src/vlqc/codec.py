@@ -9,6 +9,7 @@ shorter codewords; the empty codeword goes to the most probable message.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +34,16 @@ class SourceMessage:
     _unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        amps = linalg.as_state(self.amps)
+        amps = linalg.as_state(self.amps).copy()
         with np.errstate(over="ignore"):
             self._set_states(amps)
 
     @classmethod
     def of_finite(cls, id: str, amps: np.ndarray, probability: float) -> SourceMessage:
         """The message whose ``amps`` as_state's rules already passed (a parsed
-        file's row), built by the same rules without testing them again; the
-        caller holds np.errstate(over="ignore")."""
+        file's row), built by the same rules without testing them again. It
+        keeps ``amps`` itself, so no one else may write it; the caller holds
+        np.errstate(over="ignore")."""
         msg = cls.__new__(cls)
         object.__setattr__(msg, "id", id)
         object.__setattr__(msg, "probability", probability)
@@ -56,13 +58,21 @@ class SourceMessage:
         return msg
 
     def _set_states(self, amps: np.ndarray) -> None:
+        """Store ``amps``, its unit state and the probability as a float, by the
+        rules both constructors share."""
         try:
             unit = linalg.normalize_finite(amps)
         except ValueError as exc:
             raise ValueError(f"message {self.id!r}: {exc}") from None
-        if not self.probability > 0.0:
+        p = self.probability
+        if type(p) is not float:
+            # a bool is an int, so numbers.Real alone would take it
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"message {self.id!r}: probability must be a real number, got {p!r}")
+            p = float(p)
+        if not p > 0.0:
             raise ValueError(f"message {self.id!r} must have positive probability")
-        amps = amps.copy()
+        object.__setattr__(self, "probability", p)
         for name, value in (("amps", amps), ("_unit", unit)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

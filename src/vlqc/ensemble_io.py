@@ -1,4 +1,4 @@
-"""Ensemble description files: parsing, canonical serialization, hashing.
+"""Ensemble description files: parsing, serialization, canonical hashing.
 
 The on-disk format is a single JSON document::
 
@@ -193,37 +193,22 @@ def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# The {"id", "p"} tail of a canonical message object whose probability is not
-# a float (an int, say); it escapes and renders as json.dumps would.
-_TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def _message_tail(m: SourceMessage) -> str:
-    """``"id":...,"p":...}``: the id escaped as json.dumps escapes it and a float
-    probability as its repr, which is the JSON encoder's float text."""
-    if isinstance(m.probability, float):
-        return '"id":' + encode_basestring_ascii(m.id) + ',"p":' + float.__repr__(m.probability) + "}"
-    return _TAIL_ENCODER.encode({"id": m.id, "p": m.probability})[1:]
+    """``"id":...,"p":...}``: the id escaped as json.dumps escapes it and the
+    probability, always a float, as its repr, which is the JSON encoder's float text."""
+    return '"id":' + encode_basestring_ascii(m.id) + ',"p":' + float.__repr__(m.probability) + "}"
 
 
 _OPEN, _CLOSE = b'{"ambientDim":%d,"messages":[', b"]}"
 
 
-def _canonical_pieces(ensemble: SourceEnsemble):
-    """The canonical bytes in order, one message at a time.
-
-    Equal to compact sorted-key json.dumps of the ``dump_ensemble`` document
-    without its "k" and "normalize" keys: "amps" sorts before "id" and "p",
-    and %r of a finite float is the float repr the JSON encoder writes, so
-    each message is written straight from its stored row.
-    """
-    yield _OPEN % ensemble.ambient_dim
-    yield from _message_pieces(ensemble, 0, len(ensemble.messages))
-    yield _CLOSE
-
-
 def _message_pieces(ensemble: SourceEnsemble, start: int, stop: int):
-    """The canonical bytes of messages ``start`` to ``stop - 1``, one message at a time."""
+    """The canonical bytes of messages ``start`` to ``stop - 1``, one message at a time.
+
+    "amps" sorts before "id" and "p", and %r of a finite float is the float
+    repr the JSON encoder writes, so each message is written straight from
+    its stored row.
+    """
     d = ensemble.ambient_dim
     message = '{"amps":[' + ",".join(["[%r,%r]"] * d) + "],%s"
     for pos, m in enumerate(ensemble.messages[start:stop], start):
@@ -235,18 +220,16 @@ def _message_block(ensemble: SourceEnsemble, start: int, stop: int) -> bytes:
     return b"".join(_message_pieces(ensemble, start, stop))
 
 
-def canonical_ensemble_bytes(ensemble: SourceEnsemble) -> bytes:
-    """Canonical byte serialization of the ensemble content (k-independent)."""
-    return b"".join(_canonical_pieces(ensemble))
-
-
 # Amplitude floats (2 m d) from which ensemble_hash formats blocks of messages
 # in forked workers; below it, forking costs more than it saves.
 _FORK_FLOATS = 1 << 16
 
 
 def ensemble_hash(ensemble: SourceEnsemble) -> str:
-    """Hex digest identifying the ensemble, stable across runs and formatting.
+    """Hex digest identifying the ensemble, stable across runs and formatting:
+    the sha256 of its canonical bytes, the compact sorted-key json.dumps of
+    the ``dump_ensemble`` document without its "k" and "normalize" keys,
+    written here one message at a time and never held whole.
 
     From _FORK_FLOATS amplitude floats up, the messages are split into
     contiguous blocks, one per CPU in the affinity mask. This process formats

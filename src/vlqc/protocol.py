@@ -416,12 +416,22 @@ def replay_decode(codebook: Codebook, table: PrefixCodeTable, record_doc: dict) 
 
     This is the storage mode: decoding happens from persisted classical bits
     and quantum payload, independent of the original session. ``table`` must
-    be the codebook's own.
+    be the codebook's own. A refusal is a ValueError that names the record by
+    its ``index``, when that is an integer.
     """
     if not isinstance(record_doc, dict):
         raise ValueError("record: expected an object")
-    # RegisterSpec judges the stored length, and caps k^r before the pairs are read
-    spec = RegisterSpec(codebook.spec.k, require_key(record_doc, "baseLength", object, "record"))
-    amps = parse_amps(record_doc.get("payloadAmps"), spec.dim, "record.payloadAmps")
-    bits = require_key(record_doc, "classicalBits", str, "record")
-    return bob_receive(codebook, table, bits, VariableLengthState(spec, amps))
+    index = record_doc.get("index")
+    where = f"record {index}" if type(index) is int else "record"
+    length = require_key(record_doc, "baseLength", object, where)
+    try:
+        # RegisterSpec judges the stored length, and caps k^r before the pairs are read
+        spec = RegisterSpec(codebook.spec.k, length)
+    except ValueError as exc:
+        raise ValueError(f"{where}.baseLength: {exc}") from None
+    amps = parse_amps(record_doc.get("payloadAmps"), spec.dim, f"{where}.payloadAmps")
+    bits = require_key(record_doc, "classicalBits", str, where)
+    try:
+        return bob_receive(codebook, table, bits, VariableLengthState(spec, amps))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

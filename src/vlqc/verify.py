@@ -211,46 +211,37 @@ def _random_subject(seed: int) -> tuple[SourceEnsemble, int]:
     return random_ensemble(rng, ambient, count), int(rng.choice([2, 2, 3]))
 
 
-def check_subjects(first, start: int, stop: int, child_seeds: list[int], tol: float):
-    """Check subjects ``start`` to ``stop - 1`` of a run; returns their codebook,
-    entropy-bound and session failure lists, in subject order.
+def check_subject(first, t: int, child_seeds: list[int], tol: float):
+    """Check subject ``t`` of a run; returns its codebook, entropy-bound and
+    session failure lists.
 
     Subject 0 is ``first``, an (ensemble, k) pair; subject t >= 1 is the random
-    ensemble drawn from ``child_seeds[t - 1]``. Subject t's consistency draws
-    come from ``child_seeds[t] ^ 0x5EED`` and its session seed is
-    ``child_seeds[t]``, so a subject's checks do not depend on which block or
-    process runs them.
+    ensemble drawn from ``child_seeds[t - 1]``. Its consistency draws come from
+    ``child_seeds[t] ^ 0x5EED`` and its session seed is ``child_seeds[t]``, so
+    its checks do not depend on which process runs them.
     """
-    failures: list[str] = []
+    subject, subject_k = first if t == 0 else _random_subject(child_seeds[t - 1])
+    rng = np.random.default_rng(child_seeds[t] ^ 0x5EED)
+    codebook = build_codebook(subject, k=subject_k)
+    ok, detail = check_codebook_consistency(subject, codebook, rng, tol)
+    if not ok:
+        return [f"subject {t}: {detail}"], [], []
     lower_failures: list[str] = []
-    session_failures: list[str] = []
-    # all of the block's draws before any check, which runs faster than
-    # drawing each subject just before its checks
-    subjects = [first if t == 0 else _random_subject(child_seeds[t - 1]) for t in range(start, stop)]
-    for t, (subject, subject_k) in enumerate(subjects, start):
-        rng = np.random.default_rng(child_seeds[t] ^ 0x5EED)
-        codebook = build_codebook(subject, k=subject_k)
-        ok, detail = check_codebook_consistency(subject, codebook, rng, tol)
-        if not ok:
-            failures.append(f"subject {t}: {detail}")
-            continue
-        if codebook.code_dim > 1:
-            report = compile_report(subject, codebook)
-            if not report.lower_bound_satisfied:
-                lower_failures.append(
-                    f"subject {t}: Ic+I' = "
-                    f"{report.avg_base_length_bits + report.side_channel_entropy_bits:.6f} "
-                    f"< S = {report.von_neumann_entropy_bits:.6f}"
-                )
-            if not report.upper_bound_satisfied:
-                lower_failures.append(f"subject {t}: upper bound violated")
-        try:
-            ok, detail = check_session(subject, codebook, n=64, seed=child_seeds[t], tol=tol)
-        except ValueError as exc:
-            ok, detail = False, f"session aborted: {exc}"
-        if not ok:
-            session_failures.append(f"subject {t}: {detail}")
-    return failures, lower_failures, session_failures
+    if codebook.code_dim > 1:
+        report = compile_report(subject, codebook)
+        if not report.lower_bound_satisfied:
+            lower_failures.append(
+                f"subject {t}: Ic+I' = "
+                f"{report.avg_base_length_bits + report.side_channel_entropy_bits:.6f} "
+                f"< S = {report.von_neumann_entropy_bits:.6f}"
+            )
+        if not report.upper_bound_satisfied:
+            lower_failures.append(f"subject {t}: upper bound violated")
+    try:
+        ok, detail = check_session(subject, codebook, n=64, seed=child_seeds[t], tol=tol)
+    except ValueError as exc:
+        ok, detail = False, f"session aborted: {exc}"
+    return [], lower_failures, ([] if ok else [f"subject {t}: {detail}"])
 
 
 def run_all(
@@ -284,12 +275,12 @@ def run_all(
     def task(t: int):
         if t < len(suites):
             return suites[t]()
-        return check_subjects(first, t - len(suites), t - len(suites) + 1, child_seeds, tol)
+        return check_subject(first, t - len(suites), child_seeds, tol)
 
     outcomes = run_tasks(task, len(suites) + count)
-    scanned, blocks = outcomes[: len(suites)], outcomes[len(suites) :]
+    scanned, subjects = outcomes[: len(suites)], outcomes[len(suites) :]
     failures, lower_failures, session_failures = (
-        [line for block in blocks for line in block[i]] for i in range(3)
+        [line for subject in subjects for line in subject[i]] for i in range(3)
     )
     checked = f"{count} ensemble(s) checked"
     return [

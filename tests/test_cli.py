@@ -368,6 +368,14 @@ def test_verify_output_is_pinned(capsys, argv, expected):
     assert digest == expected
 
 
+@pytest.mark.parametrize("trials", [[], ["--trials", "0"]], ids=["default-trials", "no-trials"])
+def test_verify_on_an_ensemble_file_is_pinned(ensemble_path, capsys, trials):
+    # the one-subject run: the file's ensemble and the five subject-free suites
+    assert main(["verify", "--ensemble", str(ensemble_path), *trials]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "335c235998d06d229c035afc1c5a3ec3d8fc502db449b00f3542034ab0341b1a"
+
+
 def _refused(capsys, argv, code):
     """``main(argv)`` exits with ``code`` and one ``error:`` line on stderr, without a traceback."""
     assert main(argv) == code

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vlqc.codec import (
     encode_many,
     select_independent,
 )
-from vlqc.ensemble_io import parse_ensemble
+from vlqc.ensemble_io import dump_ensemble, ensemble_hash, load_ensemble, parse_ensemble
 from vlqc.linalg import hermitian_eigenvalues, normalize
 from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length
 from vlqc.sidechannel import LengthDistribution, build_huffman
@@ -325,6 +326,45 @@ def test_message_whose_norm_overflows_is_rejected(amps):
     # the norm used to overflow to inf, warn, and leave an all-zero "unit" state
     with pytest.raises(ValueError, match="message 'a': .*norm overflows a float"):
         SourceMessage("a", np.array(amps), 1.0)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [np.float32(0.25), np.float32(0.75)],
+        [Fraction(1, 4), Fraction(3, 4)],
+        [np.float64(0.25), np.float64(0.75)],
+        [1],
+    ],
+    ids=["float32", "Fraction", "float64", "int"],
+)
+def test_a_real_probability_is_stored_as_a_float(tmp_path, probs):
+    states = [np.array([1, 0], dtype=complex), np.array([0.6, 0.8j])][: len(probs)]
+    ensemble = SourceEnsemble(tuple(SourceMessage(f"m{i}", v, p) for i, (v, p) in enumerate(zip(states, probs))), 2)
+    floats = SourceEnsemble(tuple(SourceMessage(m.id, m.amps, float(p)) for m, p in zip(ensemble.messages, probs)), 2)
+    for m, p in zip(ensemble.messages, probs):
+        assert type(m.probability) is float and m.probability == p
+    # the hash, a session and the file writer all take the stored float
+    assert ensemble_hash(ensemble) == ensemble_hash(floats)
+    assert run_session(ensemble, build_codebook(ensemble), n=5, seed=1).ensemble_hash == ensemble_hash(floats)
+    dump_ensemble(ensemble, 2, tmp_path / "e.json")
+    assert ensemble_hash(load_ensemble(tmp_path / "e.json").ensemble) == ensemble_hash(floats)
+
+
+@pytest.mark.parametrize("p", [True, np.True_, "0.5", None], ids=["bool", "np.bool_", "str", "None"])
+@pytest.mark.parametrize("build", [SourceMessage, SourceMessage.of_finite], ids=["constructor", "of_finite"])
+def test_a_probability_that_is_not_a_real_number_is_refused(p, build):
+    with pytest.raises(ValueError, match="message 'x': probability must be a real number"):
+        build("x", np.array([1, 0], dtype=complex), p)
+
+
+def test_the_constructor_copies_its_amps_and_of_finite_keeps_them():
+    v = np.array([3, 4j])
+    msg = SourceMessage("x", v, 1.0)
+    v[0] = 0
+    assert msg.amps.tolist() == [3, 4j] and not msg.amps.flags.writeable
+    kept = SourceMessage.of_finite("x", v, 1.0)
+    assert kept.amps is v and not v.flags.writeable
 
 
 def test_random_ensembles_round_trip():

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_verify import LINUX, assert_no_child_left, count_forks, set_cpus
+from support import LINUX, assert_no_child_left, count_forks, document_bytes, set_cpus
 from vlqc import ensemble_io, linalg, workers
 from vlqc.codec import SourceEnsemble, SourceMessage
 from vlqc.ensemble_io import (
     EnsembleFormatError,
     _is_finite_number,
     parse_amps,
-    canonical_ensemble_bytes,
     dump_ensemble,
     ensemble_hash,
     load_ensemble,
@@ -155,7 +154,7 @@ def test_realistic_shape_hash_is_pinned():
 
 def test_hash_holds_one_message_at_a_time():
     ensemble = _realistic_ensemble()
-    size = len(canonical_ensemble_bytes(ensemble))
+    size = len(document_bytes(ensemble))
     tracemalloc.start()
     try:
         ensemble_hash(ensemble)
@@ -175,7 +174,7 @@ def forked(monkeypatch):
 def test_forked_hash_holds_one_piece_at_a_time(monkeypatch, forked):
     set_cpus(monkeypatch, 2)
     ensemble = _realistic_ensemble()
-    size = len(canonical_ensemble_bytes(ensemble))
+    size = len(document_bytes(ensemble))
     tracemalloc.start()
     try:
         digest = ensemble_hash(ensemble)
@@ -183,21 +182,9 @@ def test_forked_hash_holds_one_piece_at_a_time(monkeypatch, forked):
     finally:
         tracemalloc.stop()
     assert_no_child_left()
-    assert digest == hashlib.sha256(canonical_ensemble_bytes(ensemble)).hexdigest()
+    assert digest == hashlib.sha256(document_bytes(ensemble)).hexdigest()
     # the worker's half would be size / 2 if it were read back whole
     assert peak < size / 4
-
-
-def _document_bytes(ensemble):
-    """The canonical bytes as the whole-document JSON encoding defines them."""
-    doc = {
-        "ambientDim": ensemble.ambient_dim,
-        "messages": [
-            {"id": m.id, "p": m.probability, "amps": m.amps.view(np.float64).reshape(-1, 2).tolist()}
-            for m in ensemble.messages
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 # signed zero, the smallest subnormal and normal, extremes whose squares still
@@ -242,9 +229,7 @@ def edge_ensembles(draw):
 @given(edge_ensembles())
 @settings(max_examples=200, deadline=None)
 def test_canonical_bytes_match_the_document_encoding(ensemble):
-    expected = _document_bytes(ensemble)
-    assert canonical_ensemble_bytes(ensemble) == expected
-    assert ensemble_hash(ensemble) == hashlib.sha256(expected).hexdigest()
+    assert ensemble_hash(ensemble) == hashlib.sha256(document_bytes(ensemble)).hexdigest()
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true", '"1"'])
@@ -274,8 +259,10 @@ def test_parse_requires_boolean_normalize(flag):
 
 
 def test_canonical_bytes_deterministic():
+    # two builds of one ensemble give the hash the same bytes
     ensemble = reference_ensemble()
-    assert canonical_ensemble_bytes(ensemble) == canonical_ensemble_bytes(reference_ensemble())
+    digest = hashlib.sha256(document_bytes(ensemble)).hexdigest()
+    assert ensemble_hash(ensemble) == ensemble_hash(reference_ensemble()) == digest
 
 
 @pytest.mark.parametrize(
@@ -558,7 +545,7 @@ def test_forked_hash_equals_the_pins(forked):
 @pytest.mark.parametrize("cpus", [3, 4])
 def test_forked_hash_equals_the_document_digest(monkeypatch, forked, ensemble, cpus):
     set_cpus(monkeypatch, cpus)
-    assert ensemble_hash(ensemble) == hashlib.sha256(_document_bytes(ensemble)).hexdigest()
+    assert ensemble_hash(ensemble) == hashlib.sha256(document_bytes(ensemble)).hexdigest()
     assert_no_child_left()
 
 

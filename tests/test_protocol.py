@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqc import verify
+from vlqc.ensemble_io import EnsembleFormatError
 from vlqc.linalg import complex_pairs, independent_rows
 from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
 from vlqc.metrics import compile_report
@@ -349,14 +350,15 @@ def _with_pair(pos, pair):
 @pytest.mark.parametrize(
     "forge, match",
     [
+        # {where} is "record <index>", the forged record's own index
         (list, "record: expected an object"),
-        (_without("baseLength"), "record: missing key 'baseLength'"),
-        (_without("payloadAmps"), r"record\.payloadAmps: expected 4 \[re, im\] pairs"),
-        (_without("classicalBits"), "record: missing key 'classicalBits'"),
-        (lambda r: {**r, "classicalBits": 0}, r"record\.classicalBits: expected str"),
-        (_with_pair(1, [0.5, 0.0, 0.0]), r"record\.payloadAmps\[1\]: expected an \[re, im\] pair"),
-        (_with_pair(2, [True, 0.0]), r"record\.payloadAmps\[2\]: expected an \[re, im\] pair"),
-        (_with_pair(3, [0.5, "a"]), r"record\.payloadAmps\[3\]: expected an \[re, im\] pair"),
+        (_without("baseLength"), "{where}: missing key 'baseLength'"),
+        (_without("payloadAmps"), r"{where}\.payloadAmps: expected 4 \[re, im\] pairs"),
+        (_without("classicalBits"), "{where}: missing key 'classicalBits'"),
+        (lambda r: {**r, "classicalBits": 0}, r"{where}\.classicalBits: expected str"),
+        (_with_pair(1, [0.5, 0.0, 0.0]), r"{where}\.payloadAmps\[1\]: expected an \[re, im\] pair"),
+        (_with_pair(2, [True, 0.0]), r"{where}\.payloadAmps\[2\]: expected an \[re, im\] pair"),
+        (_with_pair(3, [0.5, "a"]), r"{where}\.payloadAmps\[3\]: expected an \[re, im\] pair"),
     ],
     ids=["list", "no-baseLength", "no-payloadAmps", "no-classicalBits", "int-bits", "triple", "bool", "string"],
 )
@@ -367,7 +369,7 @@ def test_replay_decode_names_the_malformed_field(ensemble, codebook, table, forg
     assert record["baseLength"] == 2
     replay_decode(codebook, table, record)
     forged = forge(record)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="^" + match.format(where=f"record {line - 1}")):
         replay_decode(codebook, table, forged)
 
 
@@ -780,6 +782,27 @@ def test_replay_decode_rejects_non_integer_base_length(ensemble, codebook, table
     record["baseLength"] = base_length
     with pytest.raises(ValueError, match="register length r must be an integer"):
         replay_decode(codebook, table, record)
+
+
+@pytest.mark.parametrize(
+    "tamper, error, message",
+    [
+        (lambda r: r["payloadAmps"].__setitem__(0, [0.5, "a"]), EnsembleFormatError, r"\.payloadAmps\[0\]: expected an"),
+        (lambda r: r.__setitem__("baseLength", True), ValueError, r"\.baseLength: register length r must be an integer"),
+        (lambda r: r.pop("classicalBits"), EnsembleFormatError, ": missing key 'classicalBits'"),
+    ],
+    ids=["payload", "baseLength", "classicalBits"],
+)
+def test_replay_decode_refusals_name_the_stored_record(tmp_path, ensemble, codebook, table, tamper, error, message):
+    path = tmp_path / "session.jsonl"
+    write_transcript(run_session(ensemble, codebook, n=12, seed=2), path)
+    _, records = read_transcript(path)
+    record = records[3]
+    replay_decode(codebook, table, record)
+    tamper(record)
+    with pytest.raises(ValueError, match="^record 3" + message) as info:
+        replay_decode(codebook, table, record)
+    assert type(info.value) is error
 
 
 def _oracle_halves(base_length, bits, fidelity, message_id, amps):

@@ -1,6 +1,5 @@
 """run_all checks its subjects in forked workers: the same results on any CPU count."""
 
-import multiprocessing
 import os
 
 import numpy as np
@@ -8,38 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import LINUX, assert_no_child_left, count_forks, set_cpus
 from vlqc import verify, workers
 from vlqc.codec import SourceMessage
 from vlqc.reference_example import REFERENCE_K, reference_ensemble
 
 SEED = 7
-LINUX = hasattr(os, "sched_getaffinity")
 
 
 def child_seeds(trials: int, seed: int = SEED) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials + 8)]
-
-
-def set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def assert_no_child_left():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def count_forks(monkeypatch) -> list[int]:
-    """Make os.fork record each call and fail, so that the caller falls back to this process."""
-    calls = []
-
-    def fork():
-        calls.append(1)
-        raise OSError("fork refused by the test")
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
 
 
 def plant(monkeypatch, trials: int, outcomes: dict) -> None:
@@ -122,21 +99,21 @@ def test_an_exception_in_a_subject_reraises_here(monkeypatch, cpus):
     if cause is not None:
         # raised in a worker: its traceback comes along as the cause
         assert isinstance(cause, workers.WorkerTraceback)
-        assert "planted crash" in str(cause) and "check_subjects" in str(cause)
+        assert "planted crash" in str(cause) and "check_subject" in str(cause)
 
 
 @pytest.fixture()
 def subject_in_a_worker(monkeypatch, alarm):
     """``install(in_worker)`` makes a worker run ``in_worker(*args)`` in place of
-    every ``check_subjects`` call it takes, after it tells this process so.
+    every ``check_subject`` call it takes, after it tells this process so.
     This process's first subject waits for that word, so some worker takes a
     subject whichever tasks each process happens to take. Two CPUs."""
     set_cpus(monkeypatch, 2)
     parent, (read_fd, write_fd) = os.getpid(), os.pipe()
-    real, waited = verify.check_subjects, []
+    real, waited = verify.check_subject, []
 
     def install(in_worker):
-        def check_subjects(*args):
+        def check_subject(*args):
             if os.getpid() != parent:
                 os.write(write_fd, b"!")
                 return in_worker(*args)
@@ -144,7 +121,7 @@ def subject_in_a_worker(monkeypatch, alarm):
                 waited.append(os.read(read_fd, 1))
             return real(*args)
 
-        monkeypatch.setattr(verify, "check_subjects", check_subjects)
+        monkeypatch.setattr(verify, "check_subject", check_subject)
 
     try:
         yield install
@@ -230,11 +207,12 @@ def test_subjects_follow_the_seed_rule(monkeypatch):
             assert got.probability == want.probability
 
 
-def test_check_subjects_builds_one_huffman_table_per_subject(huffman_builds):
+def test_check_subject_builds_one_huffman_table_per_subject(huffman_builds):
     seeds = child_seeds(6)
-    failures = verify.check_subjects((reference_ensemble(), REFERENCE_K), 0, 6, seeds, 1e-9)
-    assert failures == ([], [], [])
-    assert len(huffman_builds) == 6
+    for t in range(6):
+        failures = verify.check_subject((reference_ensemble(), REFERENCE_K), t, seeds, 1e-9)
+        assert failures == ([], [], [])
+        assert len(huffman_builds) == t + 1
 
 
 @given(seed=st.integers(0, 2**63 - 1), d=st.integers(1, 8), m=st.integers(1, 12))

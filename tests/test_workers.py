@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_verify import LINUX, assert_no_child_left, count_forks, set_cpus
+from support import LINUX, assert_no_child_left, count_forks, document_bytes, set_cpus
 from vlqc import workers
-from vlqc.ensemble_io import _FORK_FLOATS, canonical_ensemble_bytes, dump_ensemble, load_ensemble
+from vlqc.ensemble_io import _FORK_FLOATS, dump_ensemble, load_ensemble
 from vlqc.verify import random_ensemble
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,7 +108,7 @@ def test_simulate_writes_the_same_transcript_on_one_cpu(tmp_path):
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
     header = json.loads(out.read_text().splitlines()[0])
-    expected = hashlib.sha256(canonical_ensemble_bytes(load_ensemble(path).ensemble)).hexdigest()
+    expected = hashlib.sha256(document_bytes(load_ensemble(path).ensemble)).hexdigest()
     assert header["ensembleHash"] == expected
 
 
