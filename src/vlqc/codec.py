@@ -69,7 +69,10 @@ class SourceMessage:
             # a bool is an int, so numbers.Real alone would take it
             if isinstance(p, bool) or not isinstance(p, numbers.Real):
                 raise ValueError(f"message {self.id!r}: probability must be a real number, got {p!r}")
-            p = float(p)
+            try:
+                p = float(p)
+            except OverflowError:
+                raise ValueError(f"message {self.id!r}: probability is too large for a float") from None
         if not p > 0.0:
             raise ValueError(f"message {self.id!r} must have positive probability")
         object.__setattr__(self, "probability", p)

@@ -220,8 +220,9 @@ def _message_block(ensemble: SourceEnsemble, start: int, stop: int) -> bytes:
     return b"".join(_message_pieces(ensemble, start, stop))
 
 
-# Amplitude floats (2 m d) from which ensemble_hash formats blocks of messages
-# in forked workers; below it, forking costs more than it saves.
+# Floats (2 m d amplitude floats, plus those of a transcript's payloads) from
+# which the hash formats blocks of messages in forked workers; below it,
+# forking costs more than it saves.
 _FORK_FLOATS = 1 << 16
 
 
@@ -232,25 +233,52 @@ def ensemble_hash(ensemble: SourceEnsemble) -> str:
     written here one message at a time and never held whole.
 
     From _FORK_FLOATS amplitude floats up, the messages are split into
-    contiguous blocks, one per CPU in the affinity mask. This process formats
-    the first block while forked workers format the others, and sha256 takes
-    the blocks in order, so the digest does not depend on the CPU count; an
-    exception in a worker re-raises here, the earliest block's.
+    contiguous blocks, about one per CPU in the affinity mask, as
+    :func:`ensemble_hash_beside` splits them.
     """
-    digest = hashlib.sha256(_OPEN % ensemble.ambient_dim)
-    count = len(ensemble.messages)
-    workers = worker_count(count) if 2 * count * ensemble.ambient_dim >= _FORK_FLOATS else 1
-    bounds = [count * i // workers for i in range(workers + 1)]
+    return ensemble_hash_beside(ensemble, lambda: None, 0)[0]
+
+
+def ensemble_hash_beside(ensemble: SourceEnsemble, work, floats: int):
+    """``(ensemble_hash(ensemble), work())``, where ``work`` formats about
+    ``floats`` floats (a transcript's payload text) in this process while
+    forked workers format blocks of the hash's messages.
+
+    From _FORK_FLOATS floats in all (the hash's H = 2 m d and ``floats``) up,
+    and with W >= 2 processes, one per CPU in the affinity mask but at most
+    one per message plus this one, each process gets a share of
+    s = (H + floats) / W floats. This process runs ``work`` first, then
+    formats the first max(0, s - floats) hash floats, rounded half up to
+    whole messages; the workers split the remaining messages evenly, in
+    contiguous blocks. When ``floats`` >= s, this process formats no message
+    and the split is not balanced, only correct. sha256 takes the blocks in
+    message order, so the digest does not depend on the CPU count. Each
+    worker's bytes come back in pieces (``workers.start_worker``). An
+    exception in a worker re-raises here, the earliest block's; one raised
+    here, by ``work`` too, first kills and waits for every worker.
+    """
+    d, count = ensemble.ambient_dim, len(ensemble.messages)
+    total = 2 * count * d + floats
+    processes = worker_count(count + 1) if total >= _FORK_FLOATS else 1
+    first = int(max(0.0, total / processes - floats) / (2 * d) + 0.5)
+    blocks = min(processes - 1, count - first)
+    bounds = [first + (count - first) * i // max(blocks, 1) for i in range(blocks + 1)]
+    digest = hashlib.sha256(_OPEN % d)
     finishes = []
     try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
+        for start, stop in zip(bounds, bounds[1:]):
             finishes.append(start_worker(_message_block, ensemble, start, stop))
-        for piece in _message_pieces(ensemble, 0, bounds[1]):
+        result = work()
+        for piece in _message_pieces(ensemble, 0, first):
             digest.update(piece)
+        raised = []
+        while finishes:
+            raised.append(finishes.pop(0)(digest.update))
     finally:
-        raised = [finish(digest.update) for finish in finishes]
+        for finish in finishes:  # left only when this process raised
+            finish(None)
     for exc in raised:
         if exc is not None:
             raise exc
     digest.update(_CLOSE)
-    return digest.hexdigest()
+    return digest.hexdigest(), result

@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
+from . import ensemble_io
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
-from .ensemble_io import ensemble_hash, parse_amps, require_key
+from .ensemble_io import parse_amps, require_key
 from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
 from .sidechannel import PrefixCodeTable, decode_lengths
 
@@ -77,11 +79,13 @@ class SessionTranscript:
     reuses its row. ``picks[i]`` is the ensemble index of the message sent at
     step i. The session totals are derived from the table and the draw
     counts; ``records`` expands it into one :class:`TransmissionRecord` per draw.
+    ``ensemble`` is the ensemble drawn from, whose hash is computed only when
+    asked for or when the transcript is written.
     """
 
     spec: RegisterSpec
     seed: int
-    ensemble_hash: str
+    ensemble: SourceEnsemble
     picks: np.ndarray
     message_indices: np.ndarray
     message_ids: tuple[str, ...]
@@ -154,6 +158,12 @@ class SessionTranscript:
     def total_classical_bits(self) -> int:
         """Side-channel bits sent over the whole session."""
         return int(self._counts @ [len(b) for b in self.classical_bits])
+
+    @cached_property
+    def ensemble_hash(self) -> str:
+        """The ensemble's ``ensemble_io.ensemble_hash``, computed once: on first
+        access, or by ``_line_chunks`` beside the line text."""
+        return ensemble_io.ensemble_hash(self.ensemble)
 
     @cached_property
     def mean_fidelity(self) -> float:
@@ -276,7 +286,7 @@ def run_session(
     # one vdot per row: a batched product rounds the fidelity differently
     fidelities = np.array([abs(np.vdot(msg.unit_amps(), row)) ** 2 for msg, row in zip(messages, decoded)])
     return SessionTranscript(
-        codebook.spec, seed, ensemble_hash(ensemble), picks,
+        codebook.spec, seed, ensemble, picks,
         message_indices=drawn,
         message_ids=tuple(msg.id for msg in messages),
         classical_bits=tuple(bits),
@@ -342,8 +352,30 @@ def _line_chunks(transcript: SessionTranscript):
     Each record line is the sorted-key JSON object of its draw; only
     ``index`` varies between draws of one message, and it sorts between
     ``fidelity`` and ``messageId``, so every line is one message's fixed
-    prefix and suffix around the index.
+    prefix and suffix around the index. The first chunk comes once every
+    float of the text is formatted: the line halves, and the ensemble hash
+    unless it is cached, which ``ensemble_hash_beside`` computes in forked
+    workers while this process formats the halves.
     """
+    payloads = transcript.payloads
+
+    def halves():
+        return _line_halves(
+            transcript._lengths,
+            transcript.classical_bits,
+            transcript.fidelities.tolist(),
+            transcript.message_ids,
+            payloads,
+        )
+
+    cache = vars(transcript)  # where cached_property keeps ensemble_hash
+    if "ensemble_hash" in cache:
+        prefixes, suffixes = halves()
+    else:
+        floats = 2 * sum([p.size for p in payloads])
+        cache["ensemble_hash"], (prefixes, suffixes) = ensemble_io.ensemble_hash_beside(
+            transcript.ensemble, halves, floats
+        )
     header = {
         "k": transcript.spec.k,
         "r": transcript.spec.r,
@@ -352,13 +384,6 @@ def _line_chunks(transcript: SessionTranscript):
         "ensembleHash": transcript.ensemble_hash,
     }
     yield [json.dumps(header, sort_keys=True)]
-    prefixes, suffixes = _line_halves(
-        transcript._lengths,
-        transcript.classical_bits,
-        transcript.fidelities.tolist(),
-        transcript.message_ids,
-        transcript.payloads,
-    )
     slots = transcript._slots
     for start in range(0, slots.size, _CHUNK_LINES):
         yield [
@@ -380,9 +405,15 @@ def transcript_lines(transcript: SessionTranscript) -> list[str]:
 
 
 def write_transcript(transcript: SessionTranscript, path) -> None:
-    """Write the transcript lines, newline-terminated, one chunk of lines at a time."""
+    """Write the transcript lines, newline-terminated, one chunk of lines at a time.
+
+    The text is formatted before ``path`` is opened, so a failure there
+    leaves a file already at ``path`` as it was.
+    """
+    chunks = _line_chunks(transcript)
+    header = next(chunks)
     with open(path, "w", encoding="utf-8") as f:
-        for lines in _line_chunks(transcript):
+        for lines in chain([header], chunks):
             f.write("\n".join(lines) + "\n")
 
 

@@ -2,8 +2,9 @@
 and a pool of numbered tasks shared by this process and one worker per other CPU.
 
 Every fork of the package happens here. ``verify.run_all`` gives its suites and
-subjects to the pool, ``run_tasks``, and ``ensemble_io.ensemble_hash``
-formats blocks of messages in workers started by ``start_worker``. A bare
+subjects to the pool, ``run_tasks``, and ``ensemble_io.ensemble_hash_beside``
+formats blocks of messages in workers started by ``start_worker`` while this
+process formats its own block and, for a transcript, the payload text. A bare
 fork, not a spawned or forkserver worker: those import numpy and the package
 again, which costs about as much as the work they would do, and
 ``multiprocessing`` itself would add to every command's start-up and
@@ -73,6 +74,8 @@ def start_worker(fn, *args):
     the call, waits for the child, and returns None, or the exception the
     child raised, with the child's traceback as its cause. It raises only
     what ``consume`` raises, after it has killed and waited for the child.
+    ``finish(None)`` abandons the work: it kills the child at once, waits for
+    it and returns None.
 
     The child runs ``fn`` to the end before it writes anything, so it never
     waits on the parent while it works. It leaves by ``os._exit``, so it runs
@@ -106,6 +109,8 @@ def start_worker(fn, *args):
         payload, ended = b"", False
         try:
             with open(read_fd, "rb", buffering=0) as pipe:
+                if consume is None:
+                    return None  # the finally clause kills and waits
                 status = pipe.read(1)
                 if status == _DONE:
                     buffer = bytearray(PIECE_BYTES)
@@ -133,7 +138,10 @@ def start_worker(fn, *args):
 
 
 def _run_here(consume, fn, *args):
-    """``finish`` for a worker that could not fork: ``fn`` runs in this process."""
+    """``finish`` for a worker that could not fork: ``fn`` runs in this process,
+    unless the work is abandoned."""
+    if consume is None:
+        return None
     try:
         consume(memoryview(fn(*args)))
     except Exception as exc:

@@ -358,6 +358,14 @@ def test_a_probability_that_is_not_a_real_number_is_refused(p, build):
         build("x", np.array([1, 0], dtype=complex), p)
 
 
+@pytest.mark.parametrize("p", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("build", [SourceMessage, SourceMessage.of_finite], ids=["constructor", "of_finite"])
+def test_a_probability_too_large_for_a_float_is_refused(p, build):
+    # float(p) raises OverflowError; the refusal is the rule's ValueError, naming the message
+    with pytest.raises(ValueError, match="message 'x': probability is too large for a float"):
+        build("x", np.array([1, 0], dtype=complex), p)
+
+
 def test_the_constructor_copies_its_amps_and_of_finite_keeps_them():
     v = np.array([3, 4j])
     msg = SourceMessage("x", v, 1.0)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlqc import verify
+from support import LINUX, assert_no_child_left, document_bytes, set_cpus
+from vlqc import ensemble_io, verify, workers
 from vlqc.ensemble_io import EnsembleFormatError
 from vlqc.linalg import complex_pairs, independent_rows
 from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
@@ -520,7 +522,7 @@ def test_written_file_equals_joined_lines(ensemble, codebook, tmp_path, n):
 def test_totals_are_derived_from_the_table(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=300, seed=13)
     init_fields = [f.name for f in dataclasses.fields(SessionTranscript) if f.init]
-    assert init_fields == ["spec", "seed", "ensemble_hash", "picks", *TABLE_COLUMNS]
+    assert init_fields == ["spec", "seed", "ensemble", "picks", *TABLE_COLUMNS]
     records = transcript.records
     assert transcript.total_qubits == sum(r.base_length for r in records)
     assert transcript.total_classical_bits == len(transcript.side_channel_stream())
@@ -841,3 +843,51 @@ def line_rows(draw):
 def test_line_templates_equal_sorted_key_json(rows):
     prefixes, suffixes = _line_halves(*map(list, zip(*rows)))
     assert list(zip(prefixes, suffixes)) == [_oracle_halves(*row) for row in rows]
+
+
+def test_only_writing_a_transcript_computes_the_hash(monkeypatch, tmp_path, ensemble, codebook):
+    calls = []
+    pieces = ensemble_io._message_pieces
+
+    def counting(*args):
+        calls.append(args[1:])
+        return pieces(*args)
+
+    monkeypatch.setattr(ensemble_io, "_message_pieces", counting)
+    transcript = run_session(ensemble, codebook, n=300, seed=4)
+    assert verify_lossless(transcript, ensemble)
+    assert verify.check_session(ensemble, codebook, n=300, seed=4, tol=FIDELITY_TOL) == (True, "ok")
+    transcript.records
+    transcript.side_channel_stream()
+    assert calls == []
+    lines = transcript_lines(transcript)
+    write_transcript(transcript, tmp_path / "t.jsonl")
+    # the reference ensemble is below the fork bound: one pass over all its messages
+    assert calls == [(0, len(ensemble.messages))]
+    assert json.loads(lines[0])["ensembleHash"] == transcript.ensemble_hash == hashlib.sha256(
+        document_bytes(ensemble)
+    ).hexdigest()
+    assert calls == [(0, len(ensemble.messages))]
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+def test_a_failed_hash_leaves_the_file_at_the_path_as_it_was(monkeypatch, tmp_path, ensemble, codebook):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ensemble_io, "_FORK_FLOATS", 0)
+    parent = os.getpid()
+    block = ensemble_io._message_block
+
+    def message_block(*args):
+        if os.getpid() != parent:
+            raise LookupError("planted crash")
+        return block(*args)
+
+    monkeypatch.setattr(ensemble_io, "_message_block", message_block)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"an earlier transcript\n")
+    with pytest.raises(LookupError, match="planted crash") as info:
+        write_transcript(run_session(ensemble, codebook, n=50, seed=2), path)
+    assert path.read_bytes() == b"an earlier transcript\n"
+    cause = info.value.__cause__
+    assert isinstance(cause, workers.WorkerTraceback) and "planted crash" in str(cause)
+    assert_no_child_left()

@@ -1,6 +1,7 @@
 """The fork helpers: a worker's parent side, the task pool's semantics, the
 imports they leave out, and output that does not depend on the CPU count."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,14 +9,17 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from support import LINUX, assert_no_child_left, count_forks, document_bytes, set_cpus
-from vlqc import workers
+from vlqc import ensemble_io, protocol, workers
+from vlqc.codec import SourceEnsemble, SourceMessage, build_codebook
 from vlqc.ensemble_io import _FORK_FLOATS, dump_ensemble, load_ensemble
+from vlqc.protocol import run_session, transcript_lines, write_transcript
 from vlqc.verify import random_ensemble
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,6 +118,137 @@ def test_simulate_writes_the_same_transcript_on_one_cpu(tmp_path):
 
 def open_fds() -> set[str]:
     return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+def test_an_abandoned_worker_is_killed_at_once(alarm):
+    def slow():
+        time.sleep(40)
+        return b""
+
+    before, start = open_fds(), time.monotonic()
+    assert workers.start_worker(slow)(None) is None
+    assert time.monotonic() - start < 20
+    assert open_fds() == before
+    assert_no_child_left()
+
+
+def _one_message_session():
+    ensemble = SourceEnsemble((SourceMessage("only", np.array([1, 1j]), 1.0),), 2)
+    return run_session(ensemble, build_codebook(ensemble, k=2), n=5, seed=1)
+
+
+def _session(d, m, k, n):
+    ensemble = random_ensemble(np.random.default_rng(d * m + k), d, m)
+    return run_session(ensemble, build_codebook(ensemble, k=k), n=n, seed=3)
+
+
+POOL_SESSIONS = {
+    # 360 payload floats against 24 hash floats: this process formats no message
+    "payloads-above-a-share": lambda: _session(2, 6, 36, 200),
+    "fewer-messages-than-processes": lambda: _session(4, 2, 2, 40),
+    # this process formats the payload, a worker the message
+    "one-message": _one_message_session,
+    "more-messages-than-processes": lambda: _session(8, 13, 2, 200),
+}
+
+
+def _written(transcript):
+    """The joined lines of a copy of ``transcript`` with no cached hash, and its header's hash."""
+    lines = transcript_lines(dataclasses.replace(transcript))
+    return "\n".join(lines), json.loads(lines[0])["ensembleHash"]
+
+
+@pytest.fixture()
+def pieces_here(monkeypatch):
+    """The (start, stop) of each block of hash messages formatted in this process."""
+    blocks, pieces, parent = [], ensemble_io._message_pieces, os.getpid()
+
+    def recording(ensemble, start, stop):
+        if os.getpid() == parent:
+            blocks.append((start, stop))
+        return pieces(ensemble, start, stop)
+
+    monkeypatch.setattr(ensemble_io, "_message_pieces", recording)
+    return blocks
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+@pytest.mark.parametrize("name", list(POOL_SESSIONS))
+@pytest.mark.parametrize("refused", [False, True], ids=["forked", "fork-refused"])
+def test_the_transcript_pool_writes_what_one_process_writes(monkeypatch, alarm, pieces_here, name, refused):
+    transcript = POOL_SESSIONS[name]()
+    count = len(transcript.ensemble.messages)
+    set_cpus(monkeypatch, 1)
+    expected = _written(transcript)
+    assert expected[1] == hashlib.sha256(document_bytes(transcript.ensemble)).hexdigest()
+    monkeypatch.setattr(ensemble_io, "_FORK_FLOATS", 0)
+    forks = count_forks(monkeypatch) if refused else None
+    for cpus in [1, 2, 3, 4]:
+        set_cpus(monkeypatch, cpus)
+        pieces_here.clear()
+        assert _written(transcript) == expected
+        assert_no_child_left()
+        if refused:
+            # the blocks refused workers would have formatted follow this process's own
+            assert [start for start, _ in pieces_here] == [0] + [stop for _, stop in pieces_here[:-1]]
+            assert pieces_here[-1][1] == count
+            assert len(forks) == len(pieces_here) - 1 <= cpus - 1
+            forks.clear()
+        elif cpus == 1:
+            assert pieces_here == [(0, count)]
+        elif name in ("payloads-above-a-share", "one-message"):
+            assert pieces_here == [(0, 0)]
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+@pytest.mark.parametrize("refused", [False, True], ids=["forked", "fork-refused"])
+def test_a_raise_in_the_payload_text_leaves_no_child_or_pipe(monkeypatch, alarm, refused):
+    """The workers' blocks take 40 s each: only killing the workers, or not
+    running a refused worker's block here, ends the call sooner."""
+    transcript = _session(8, 13, 2, 200)
+    set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(ensemble_io, "_FORK_FLOATS", 0)
+    if refused:
+        forks = count_forks(monkeypatch)
+    else:
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+    def slow_block(*args):
+        time.sleep(40)
+
+    def line_halves(*args):
+        raise LookupError("planted crash")
+
+    monkeypatch.setattr(ensemble_io, "_message_block", slow_block)
+    monkeypatch.setattr(protocol, "_line_halves", line_halves)
+    before, start = open_fds(), time.monotonic()
+    with pytest.raises(LookupError, match="planted crash"):
+        transcript_lines(transcript)
+    assert time.monotonic() - start < 20
+    assert len(forks) == 2
+    assert open_fds() == before
+    assert_no_child_left()
+    assert "ensemble_hash" not in vars(transcript)
+
+
+@pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
+def test_a_written_file_above_the_fork_bound_equals_the_joined_lines(monkeypatch, alarm, tmp_path):
+    transcript = _session(64, 600, 2, 3000)
+    assert 2 * 64 * 600 >= _FORK_FLOATS
+    set_cpus(monkeypatch, 2)
+    path = tmp_path / "t.jsonl"
+    write_transcript(dataclasses.replace(transcript), path)
+    assert_no_child_left()
+    text, digest = _written(transcript)
+    assert path.read_text() == text + "\n"
+    assert digest == hashlib.sha256(document_bytes(transcript.ensemble)).hexdigest()
 
 
 def squares_logged(log_fd: int, failing=()):
