@@ -9,8 +9,10 @@ shorter codewords; the empty codeword goes to the most probable message.
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +77,8 @@ class SourceMessage:
                 raise ValueError(f"message {self.id!r}: probability is too large for a float") from None
         if not p > 0.0:
             raise ValueError(f"message {self.id!r} must have positive probability")
+        if p == math.inf:
+            raise ValueError(f"message {self.id!r}: probability must be finite, got {p!r}")
         object.__setattr__(self, "probability", p)
         for name, value in (("amps", amps), ("_unit", unit)):
             value.flags.writeable = False
@@ -126,21 +130,26 @@ def _independent(ensemble: SourceEnsemble):
     return units, [ensemble.messages[order[i]] for i in kept], rows
 
 
-def _encoder(basis: np.ndarray, dim: int) -> np.ndarray:
-    """The (dim, ambient_dim) matrix whose row i-1 is <omega_i| and whose rows past len(basis) are zero."""
-    encoder = np.zeros((dim, basis.shape[1]), dtype=complex)
-    encoder[: len(basis)] = np.conj(basis)
-    return encoder
-
-
 def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``matrix @ row`` for each row of ``rows``, one matvec per row.
 
     Not a gemm (``rows @ matrix.T``): a gemm rounds differently from
-    ``matrix @ row``. Base lengths and the sender's cut both read these
-    products, and stored transcripts pin their rounding.
+    ``matrix @ row``. Base lengths, the sender's cut and the receiver's
+    decoded rows all read these products, and stored transcripts pin their
+    rounding.
     """
     return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
+def _code_products(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """<omega_i|x> for i = 1..code_dim and each row x of ``rows``: the sender's
+    products over the rows of conj(basis), one matvec per row.
+
+    Each is the same ambient_dim-term dot that row i-1 of the k^r-wide encoder
+    gives, so these are the first code_dim components of its codewords, bit
+    for bit; the rest of a codeword is exactly zero.
+    """
+    return _per_row(np.conj(basis), rows)
 
 
 def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
@@ -155,24 +164,29 @@ class Codebook:
     k-ary register numerals, and the classical length code agreed with it.
 
     ``basis`` (code_dim x ambient_dim) holds omega_i as row i-1 and is the one
-    stored form of the quantum code. Everything else follows from it:
-    ``encoder`` is the (k^r, ambient_dim) matrix whose row i-1 is <omega_i|
-    and whose rows past code_dim are zero; ``decoder`` is its conjugate
-    transpose, the inverse on the code space; ``code_lengths[i-1]`` is the
-    significant length of codeword i, i.e. ceil(log_k(i)). ``base_lengths``
-    maps each source message id to the longest codeword component its
-    encoding touches, and ``lengths`` gives each base length its probability.
-    ``table``, the Huffman code over ``lengths`` that carries each base length
-    over the side-channel, is derived here as the matrices are; every base
-    length must be in ``lengths``, so that it has a codeword.
+    stored form of the quantum code; the sender's products are taken over its
+    rows, so building a code and reporting on it allocate nothing k^r wide.
+    ``code_lengths[i-1]`` is the significant length of codeword i, i.e.
+    ceil(log_k(i)). ``base_lengths`` maps each source message id to the
+    longest codeword component its encoding touches, and ``lengths`` gives
+    each base length its probability. ``table``, the Huffman code over
+    ``lengths`` that carries each base length over the side-channel, is
+    derived from ``lengths`` here; every base length must be in ``lengths``,
+    so that it has a codeword.
+
+    ``encoder`` and ``decoder`` are derived from ``basis`` on first use and
+    kept, read-only. ``encoder`` is the (k^r, ambient_dim) matrix whose row
+    i-1 is <omega_i| and whose rows past code_dim are zero. ``decoder``, its
+    conjugate transpose and the inverse on the code space, is the one matrix
+    that stays k^r wide in use: the receiver's product is a k^r-long dot over
+    the padded codeword, and a dot over code_dim terms would round some
+    decoded rows differently, which stored transcripts pin.
     """
 
     spec: RegisterSpec
     basis: np.ndarray
     base_lengths: dict[str, int]
     lengths: LengthDistribution
-    encoder: np.ndarray = field(init=False, repr=False)
-    decoder: np.ndarray = field(init=False, repr=False)
     table: PrefixCodeTable = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -183,16 +197,30 @@ class Codebook:
             raise ValueError(f"basis size {basis.shape[0]} does not fit register of dim {self.spec.dim}")
         if not np.isfinite(basis).all():
             raise ValueError("basis contains NaN or Inf")
-        encoder = _encoder(basis, self.spec.dim)
-        # a C-ordered copy: the layout fixes how decoder products round, and stored transcripts pin that
-        decoder = encoder.conj().T.copy()
         for length in self.base_lengths.values():
             if length not in self.lengths.probs:
                 raise ValueError(f"base length {length!r} is missing from the side-channel lengths")
-        for name, value in (("basis", basis), ("encoder", encoder), ("decoder", decoder)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table", build_huffman(self.lengths))
+
+    @cached_property
+    def encoder(self) -> np.ndarray:
+        encoder = np.zeros((self.spec.dim, self.ambient_dim), dtype=complex)
+        encoder[: self.code_dim] = np.conj(self.basis)
+        encoder.flags.writeable = False
+        return encoder
+
+    @cached_property
+    def decoder(self) -> np.ndarray:
+        # C-ordered, as encoder.conj().T.copy() would be, built in one allocation: the
+        # layout fixes how decoder products round, and stored transcripts pin that;
+        # conj gives the encoder's zero rows an imaginary part of -0.0
+        decoder = np.empty((self.ambient_dim, self.spec.dim), dtype=complex)
+        decoder[:, : self.code_dim] = self.basis.T
+        decoder[:, self.code_dim :] = complex(0.0, -0.0)
+        decoder.flags.writeable = False
+        return decoder
 
     @property
     def ambient_dim(self) -> int:
@@ -213,15 +241,15 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
     The register length is the smallest r with k^r >= dim span(messages).
     Base lengths record, per source message, the longest codeword component
     its encoding touches; that is what the sender must announce. They are the
-    :func:`support_lengths` of the products the sender computes, per-row
-    encoder matvecs, so the sender's cut never meets amplitude the table left
-    out, however close to AMP_TOL a component rounds. Their distribution under
-    the message probabilities fixes the side-channel code.
+    :func:`support_lengths` of the products the sender computes,
+    :func:`_code_products`, so the sender's cut never meets amplitude the
+    table left out, however close to AMP_TOL a component rounds. Their
+    distribution under the message probabilities fixes the side-channel code.
     """
     units, _, rows = _independent(ensemble)
     spec = RegisterSpec(k=k, r=significant_length(len(rows) - 1, k))
-    lengths = support_lengths(_per_row(_encoder(rows, spec.dim), units), k).tolist()
-    del units  # free the m x ambient_dim states before the codebook's matrices are allocated
+    lengths = support_lengths(_code_products(rows, units), k).tolist()
+    del units  # free the m x ambient_dim states before the codebook copies its basis
     base_lengths = {msg.id: n for msg, n in zip(ensemble.messages, lengths)}
     return Codebook(spec, rows, base_lengths, length_distribution(ensemble, base_lengths))
 
@@ -229,13 +257,15 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
 def encode_many(codebook: Codebook, x) -> np.ndarray:
     """The encoder isometry applied to each row of ``x``, each a unit vector inside
     the source span: a row is inside when its codeword is unit, so one with more
-    than about sqrt(2 * UNIT_TOL) of its norm outside the span is refused."""
+    than about sqrt(2 * UNIT_TOL) of its norm outside the span is refused.
+    Each codeword is its code-width products zero-padded to k^r."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != codebook.ambient_dim:
         raise ValueError(f"vector has dim {x.shape[-1]}, expected {codebook.ambient_dim}")
     if not unit_rows(x):
         raise ValueError("encode input must be a unit vector")
-    codewords = _per_row(codebook.encoder, x)
+    codewords = np.zeros((len(x), codebook.spec.dim), dtype=complex)
+    codewords[:, : codebook.code_dim] = _code_products(codebook.basis, x)
     if not unit_rows(codewords):
         raise ValueError("vector lies outside the source space")
     return codewords

@@ -156,17 +156,19 @@ def check_codebook_consistency(ensemble: SourceEnsemble, codebook: Codebook, rng
 
     Draws 20 pairs of random unit vectors in the span of the basis and checks, as
     matrix products, that the encoder keeps every inner product among them
-    (within ``tol``) and that the decoder returns each one. Then the sender,
+    (within ``tol``) and that the decoder returns each one. Both run at code
+    width, over the rows of the basis: a codeword is zero past code_dim, and
+    the decoder's first code_dim columns are the basis. Then the sender,
     :func:`alice_send_many`, must accept every message of the ensemble: its
     refusal (a state with support past its base length, say) is the failure.
     """
     check_tolerance(tol)
     x = random_units_in_span(rng, codebook.basis, 40)
-    encoded = x @ codebook.encoder.T
+    encoded = x @ np.conj(codebook.basis).T
     deviation = float(np.max(np.abs(encoded.conj() @ encoded.T - x.conj() @ x.T)))
     if deviation > tol:
         return False, f"isometry violated by {deviation:.3e}"
-    fidelity = np.abs(np.sum(x.conj() * (encoded @ codebook.decoder.T), axis=1)) ** 2
+    fidelity = np.abs(np.sum(x.conj() * (encoded @ codebook.basis), axis=1)) ** 2
     if float(fidelity.min()) < 1.0 - FIDELITY_ROUNDING_TOL:
         return False, f"round-trip fidelity fell below 1 - {FIDELITY_ROUNDING_TOL:g}"
     try:

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vlqc import protocol
+from vlqc.cli import report_document
 from vlqc.codec import (
     Codebook,
     SourceEnsemble,
@@ -19,7 +24,8 @@ from vlqc.codec import (
 )
 from vlqc.ensemble_io import dump_ensemble, ensemble_hash, load_ensemble, parse_ensemble
 from vlqc.linalg import hermitian_eigenvalues, normalize
-from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length
+from vlqc.message_space import RegisterSpec, VariableLengthState, significant_length, support_lengths
+from vlqc.metrics import compile_report
 from vlqc.sidechannel import LengthDistribution, build_huffman
 from vlqc.reference_example import (
     EXPECTED_BASE_LENGTHS,
@@ -30,7 +36,7 @@ from vlqc.reference_example import (
     reference_codebook,
     reference_ensemble,
 )
-from vlqc.protocol import run_session
+from vlqc.protocol import run_session, transcript_lines
 from vlqc.verify import (
     check_codebook_consistency,
     near_dependent_ensemble,
@@ -366,6 +372,14 @@ def test_a_probability_too_large_for_a_float_is_refused(p, build):
         build("x", np.array([1, 0], dtype=complex), p)
 
 
+@pytest.mark.parametrize("p", [float("inf"), np.longdouble("1e400")], ids=["float", "longdouble"])
+@pytest.mark.parametrize("build", [SourceMessage, SourceMessage.of_finite], ids=["constructor", "of_finite"])
+def test_an_infinite_probability_is_refused_by_the_message(p, build):
+    # float() turns the longdouble into inf without raising; the message refuses it, not a later sum
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="message 'x': probability must be finite, got inf"):
+        build("x", np.array([1, 0], dtype=complex), p)
+
+
 def test_the_constructor_copies_its_amps_and_of_finite_keeps_them():
     v = np.array([3, 4j])
     msg = SourceMessage("x", v, 1.0)
@@ -415,7 +429,15 @@ def test_codebook_stores_only_its_basis(codebook):
     assert init_fields == ["spec", "basis", "base_lengths", "lengths"]
     for matrix in (codebook.basis, codebook.encoder, codebook.decoder):
         assert not matrix.flags.writeable
+    # the matrices are derived on first use and kept; they cannot be set or deleted
+    assert codebook.encoder is codebook.encoder and codebook.decoder is codebook.decoder
+    for name in ("encoder", "decoder"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(codebook, name, np.zeros(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(codebook, name)
     flipped = dataclasses.replace(codebook, basis=-codebook.basis)
+    assert "encoder" not in vars(flipped) and "decoder" not in vars(flipped)
     np.testing.assert_array_equal(flipped.encoder, -codebook.encoder)
     np.testing.assert_array_equal(flipped.decoder, -codebook.decoder)
     assert flipped.code_lengths == codebook.code_lengths
@@ -424,6 +446,71 @@ def test_codebook_stores_only_its_basis(codebook):
     skewed = dataclasses.replace(codebook, lengths=LengthDistribution({0: 0.1, 1: 0.1, 2: 0.8}))
     assert skewed.table == build_huffman(skewed.lengths) != codebook.table
     assert skewed.table.codewords[2] == "1"
+
+
+def _reference_encoder(basis, dim):
+    """The k^r-wide encoder: conj(basis) over dim - code_dim zero rows."""
+    encoder = np.zeros((dim, basis.shape[1]), dtype=complex)
+    encoder[: len(basis)] = np.conj(basis)
+    return encoder
+
+
+def _reference_codewords(basis, dim, rows):
+    """Each row's codeword as one k^r-wide matvec per row."""
+    return np.matmul(_reference_encoder(basis, dim), rows[:, :, None])[:, :, 0]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3, 36]),
+    ambient=st.integers(2, 40),
+    extra=st.integers(-3, 3),
+)
+@settings(max_examples=40, deadline=None)
+@example(seed=1, k=36, ambient=37, extra=0)
+@example(seed=2, k=36, ambient=37, extra=3)
+@example(seed=3, k=3, ambient=10, extra=-3)
+def test_code_width_products_equal_the_register_width_encoder_bit_for_bit(seed, k, ambient, extra):
+    # m below, at and above d; k = 36 at d = 37 is the register jump from r = 1 to r = 2
+    ens = random_ensemble(np.random.default_rng(seed), ambient, max(1, ambient + extra))
+    cb = build_codebook(ens, k=k)
+    units = np.array([m.unit_amps() for m in ens.messages])
+    reference = _reference_codewords(cb.basis, k**cb.spec.r, units)
+    assert encode_many(cb, units).tobytes() == reference.tobytes()
+    assert [cb.base_lengths[m.id] for m in ens.messages] == support_lengths(reference, k).tolist()
+    encoder = _reference_encoder(cb.basis, k**cb.spec.r)
+    assert cb.encoder.tobytes() == encoder.tobytes()
+    # the conjugate gives the zero block's imaginary parts the sign -0.0, and the copy is C-ordered
+    assert cb.decoder.tobytes() == encoder.conj().T.copy().tobytes()
+    assert cb.decoder.flags.c_contiguous
+
+
+def test_a_session_across_the_register_jump_writes_the_register_width_transcript(monkeypatch):
+    ens = random_ensemble(np.random.default_rng(11), 37, 40)
+    cb = build_codebook(ens, k=36)
+    assert (cb.code_dim, cb.spec.r) == (37, 2)
+    lines = transcript_lines(run_session(ens, cb, n=200, seed=5))
+    monkeypatch.setattr(
+        protocol,
+        "encode_many",
+        lambda codebook, x: _reference_codewords(codebook.basis, codebook.spec.dim, np.asarray(x, dtype=complex)),
+    )
+    assert transcript_lines(run_session(ens, cb, n=200, seed=5)) == lines
+
+
+def test_no_register_width_matrix_is_built_before_a_decode():
+    ens = random_ensemble(np.random.default_rng(4), 37, 37)
+    tracemalloc.start()
+    try:
+        cb = build_codebook(ens, k=36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cb.spec.dim == 36**2
+    # one k^r x d complex matrix is 767232 bytes here
+    assert peak < cb.spec.dim * cb.ambient_dim * np.dtype(complex).itemsize
+    report_document(ens, cb, compile_report(ens, cb))
+    assert "encoder" not in vars(cb) and "decoder" not in vars(cb)
 
 
 @pytest.mark.parametrize(
