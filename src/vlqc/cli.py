@@ -56,9 +56,12 @@ def report_document(ensemble: SourceEnsemble, codebook: Codebook, report: Compre
     """The full analyze document: report, codebook summary, side-channel table.
 
     The codebook section carries the basis but not the encoder or decoder,
-    which :class:`vlqc.codec.Codebook` derives from it bit-exactly; the
-    side-channel section is the codebook's ``lengths`` and ``table``. The
-    benchmark harness passes ``ensemble``, which the document no longer reads.
+    which :class:`vlqc.codec.Codebook` derives from it bit-exactly. The basis
+    is :func:`vlqc.linalg.complex_pairs`'s rows of (re, im) tuples, which json
+    writes as [re, im] arrays, so the document is not equal to its own
+    ``json.loads`` but serializes to the same bytes. The side-channel section
+    is the codebook's ``lengths`` and ``table``. The benchmark harness passes
+    ``ensemble``, which the document no longer reads.
     """
     return {
         "report": report.as_dict(),

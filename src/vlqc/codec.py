@@ -123,11 +123,12 @@ class SourceEnsemble:
 
 
 def _independent(ensemble: SourceEnsemble):
-    """The unit states (input order), select_independent's messages, and orthonormal rows spanning them."""
-    units = np.array([m.unit_amps() for m in ensemble.messages])
-    order = sorted(range(len(units)), key=lambda i: -ensemble.messages[i].probability)
-    kept, rows = linalg.independent_rows(units[order])
-    return units, [ensemble.messages[order[i]] for i in kept], rows
+    """Message positions most probable first (input order breaks ties), the unit states
+    in that order, select_independent's messages, and orthonormal rows spanning them."""
+    order = sorted(range(len(ensemble.messages)), key=lambda i: -ensemble.messages[i].probability)
+    units = np.array([ensemble.messages[i].unit_amps() for i in order])
+    kept, rows = linalg.independent_rows(units)
+    return order, units, [ensemble.messages[order[i]] for i in kept], rows
 
 
 def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -155,7 +156,7 @@ def _code_products(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def select_independent(ensemble: SourceEnsemble) -> list[SourceMessage]:
     """Greedy maximal linearly independent subset, visited most probable first
     (input order breaks ties) and kept as by linalg.independent_rows."""
-    return _independent(ensemble)[1]
+    return _independent(ensemble)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +247,9 @@ def build_codebook(ensemble: SourceEnsemble, k: int = 2) -> Codebook:
     table left out, however close to AMP_TOL a component rounds. Their
     distribution under the message probabilities fixes the side-channel code.
     """
-    units, _, rows = _independent(ensemble)
+    order, units, _, rows = _independent(ensemble)
     spec = RegisterSpec(k=k, r=significant_length(len(rows) - 1, k))
-    lengths = support_lengths(_code_products(rows, units), k).tolist()
+    lengths = support_lengths(_code_products(rows, units), k)[np.argsort(order)].tolist()
     del units  # free the m x ambient_dim states before the codebook copies its basis
     base_lengths = {msg.id: n for msg, n in zip(ensemble.messages, lengths)}
     return Codebook(spec, rows, base_lengths, length_distribution(ensemble, base_lengths))

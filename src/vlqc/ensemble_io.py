@@ -188,6 +188,9 @@ def load_ensemble(path) -> EnsembleFile:
 
 
 def dump_ensemble(ensemble: SourceEnsemble, k: int, path) -> None:
+    """Write ``ensemble`` as an ensemble file with ``normalize`` set: each message's
+    stored amplitudes as :func:`vlqc.linalg.complex_pairs`'s (re, im) tuples, which
+    json writes as [re, im] arrays, and its float probability."""
     messages = [{"id": m.id, "p": m.probability, "amps": linalg.complex_pairs(m.amps)} for m in ensemble.messages]
     doc = {"k": k, "normalize": True, "ambientDim": ensemble.ambient_dim, "messages": messages}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

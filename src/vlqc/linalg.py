@@ -119,7 +119,7 @@ def gram_schmidt(vectors: Iterable) -> list[np.ndarray]:
 class gc_paused:
     """Context manager that pauses CPython's cyclic garbage collector for its block.
 
-    Building a large nested list (a parsed JSON document, or the [re, im] pairs
+    Building a large nested list (a parsed JSON document, or the (re, im) pairs
     of a matrix) allocates one container per pair. Every few hundred of them
     the collector runs, and its older-generation passes walk the whole growing
     structure again, although data without reference cycles is freed by
@@ -143,11 +143,22 @@ class gc_paused:
             gc.enable()
 
 
+# a complex128 entry read as its two float64 halves, so that tolist() gives one
+# (re, im) tuple per entry
+_PAIR = np.dtype([("re", np.float64), ("im", np.float64)])
+
+
 def complex_pairs(a) -> list:
-    """Nested [re, im] pairs of a complex array: float(z.real), float(z.imag) per entry."""
+    """Nested (re, im) pairs of a complex array: float(z.real), float(z.imag) per entry.
+
+    Each pair is a tuple, which json writes as the same [re, im] array a list
+    would give. A tuple is one allocation where a list is two, and the
+    collector untracks a tuple of floats on its first pass, where a list would
+    stay tracked and be walked again by every older-generation pass.
+    """
     a = np.ascontiguousarray(a, dtype=complex)
     with gc_paused():
-        return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+        return a.view(_PAIR).tolist()
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

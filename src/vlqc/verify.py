@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -132,19 +132,14 @@ def optimal_prefix_mean_twentieths(counts: tuple[int, ...]) -> int:
 
 
 def grid_distributions() -> list[tuple[int, ...]]:
-    """All probability-count tuples on the 0.05 grid with 2..GRID_MAX_SYMBOLS symbols."""
-    out: list[tuple[int, ...]] = []
-
-    def compose(remaining: int, parts: int, prefix: list[int]):
-        if parts == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for first in range(1, remaining - parts + 2):
-            compose(remaining - first, parts - 1, prefix + [first])
-
-    for symbols in range(2, GRID_MAX_SYMBOLS + 1):
-        compose(20, symbols, [])
-    return out
+    """All probability-count tuples on the 0.05 grid with 2..GRID_MAX_SYMBOLS symbols:
+    the compositions of 20, each cut into parts at symbols - 1 of the points 1..19,
+    in lexicographic order for each symbol count."""
+    return [
+        tuple(b - a for a, b in pairwise((0, *cuts, 20)))
+        for symbols in range(2, GRID_MAX_SYMBOLS + 1)
+        for cuts in combinations(range(1, 20), symbols - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,104 @@ def test_matrix_core_matches_per_vector_loops():
         np.testing.assert_allclose(density_matrix(ens).matrix, sigma, atol=1e-14)
 
 
+def _exact_dot(w, x):
+    """<w|x> over Q(i), each entry an (re, im) pair of Fractions or ints."""
+    re = sum(a * c + b * d for (a, b), (c, d) in zip(w, x))
+    im = sum(a * d - b * c for (a, b), (c, d) in zip(w, x))
+    return re, im
+
+
+def _exact_selection(vectors, probabilities, k):
+    """Gram-Schmidt over Q(i), unnormalized, visiting the most probable vector
+    first: the kept positions, and each vector's exact base length, the
+    significant length of the last i with <w_i|x> != 0."""
+    kept, basis = [], []
+    for pos in sorted(range(len(vectors)), key=lambda i: -probabilities[i]):
+        residual = [(Fraction(a), Fraction(b)) for a, b in vectors[pos]]
+        for w in basis:
+            (pr, pi), (nr, _) = _exact_dot(w, residual), _exact_dot(w, w)
+            tr, ti = pr / nr, pi / nr
+            residual = [(c - (tr * a - ti * b), d - (tr * b + ti * a)) for (a, b), (c, d) in zip(w, residual)]
+        if any(c or d for c, d in residual):
+            kept.append(pos)
+            basis.append(residual)
+    lengths = []
+    for x in vectors:
+        last = max(i for i, w in enumerate(basis) if any(_exact_dot(w, x)))
+        lengths.append(significant_length(last, k))
+    return kept, lengths
+
+
+@st.composite
+def gaussian_integer_ensembles(draw):
+    """Nonzero vectors with entries in {-3..3} + i{-3..3}, d 2-6 and m 2-10,
+    under distinct probabilities; with m > d, or by chance, some are dependent."""
+    d, m = draw(st.integers(2, 6)), draw(st.integers(2, 10))
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    vector = st.lists(entry, min_size=d, max_size=d).filter(lambda v: any(a or b for a, b in v))
+    vectors = draw(st.lists(vector, min_size=m, max_size=m))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=m, max_size=m, unique=True))
+    probabilities = [w / sum(weights) for w in weights]
+    return vectors, probabilities, draw(st.sampled_from([2, 3]))
+
+
+@given(gaussian_integer_ensembles())
+@settings(max_examples=60, deadline=None)
+def test_selection_and_base_lengths_match_exact_arithmetic(drawn):
+    vectors, probabilities, k = drawn
+    ens = SourceEnsemble(
+        tuple(
+            SourceMessage(f"m{i}", np.array([complex(a, b) for a, b in v]), p)
+            for i, (v, p) in enumerate(zip(vectors, probabilities))
+        ),
+        len(vectors[0]),
+    )
+    kept, lengths = _exact_selection(vectors, probabilities, k)
+    assert [m.id for m in select_independent(ens)] == [f"m{i}" for i in kept]
+    assert build_codebook(ens, k=k).base_lengths == {f"m{i}": n for i, n in enumerate(lengths)}
+
+
+def _ill_conditioned_ensemble(scale: int, d: int = 64, combinations: int = 300, seed: int = 0):
+    """d Gaussian-integer states v_i = scale * c + e_i, with one shared c and
+    perturbations e_i of entries +-1 +-i, weighted 2^-(i+1) (the last 2^-(d-1), so
+    they sum to 1), then ``combinations`` low-weight messages, each an exact
+    integer combination of v_1..v_j whose last coefficient is nonzero: its exact
+    base length is significant_length(j - 1). Returns the ensemble and those lengths."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(-3, 4, size=d) + 1j * rng.integers(-3, 4, size=d)
+    v = [scale * c + rng.choice([-1, 1], size=d) + 1j * rng.choice([-1, 1], size=d) for _ in range(d)]
+    messages = [SourceMessage(f"v{i}", v[i], 2.0 ** -min(i + 1, d - 1)) for i in range(d)]
+    expected = {}
+    for t in range(combinations):
+        j = int(rng.integers(1, d + 1))
+        coefficients = [*rng.integers(-3, 4, size=j - 1).tolist(), int(rng.choice([-3, -2, -1, 1, 2, 3]))]
+        x = sum(a * v[i] for i, a in enumerate(coefficients))
+        messages.append(SourceMessage(f"x{t}", x, 2.0 ** -(d + 8)))
+        expected[f"x{t}"] = significant_length(j - 1, 2)
+    return SourceEnsemble(tuple(messages), d), expected
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        10**3,
+        pytest.param(
+            10**5,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 7: an absolute AMP_TOL cut reads selection noise as support, "
+                "so some combinations get longer base lengths than exact arithmetic gives",
+            ),
+        ),
+    ],
+)
+def test_ill_conditioned_combinations_get_their_exact_base_lengths(scale):
+    ens, expected = _ill_conditioned_ensemble(scale)
+    codebook = build_codebook(ens, k=2)
+    assert [m.id for m in select_independent(ens)] == [f"v{i}" for i in range(64)]
+    assert {i: codebook.base_lengths[i] for i in expected} == expected
+
+
 def test_density_matrix_keeps_its_spectrum(ensemble):
     sigma = density_matrix(ensemble)
     np.testing.assert_array_equal(sigma.eigenvalues, hermitian_eigenvalues(sigma.matrix))

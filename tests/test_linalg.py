@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,13 +212,36 @@ def test_complex_pairs_is_per_element_float_conversion(values):
     def reference(v):
         if v.ndim > 1:
             return [reference(row) for row in v]
-        return [[float(z.real), float(z.imag)] for z in v]
+        return [(float(z.real), float(z.imag)) for z in v]
 
     got = complex_pairs(a)
     assert got == reference(a)
     # == treats -0.0 and 0.0 alike; repr does not
     assert repr(got) == repr(reference(a))
     assert complex_pairs(a.T) == reference(a.T)
+    # json writes a tuple as the [re, im] array the list form gives
+    as_lists = a.view(np.float64).reshape(a.shape + (2,)).tolist()
+    assert json.dumps(got, indent=2) == json.dumps(as_lists, indent=2)
+
+
+def _traced_size(build):
+    """Bytes that ``build()``'s result holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_complex_pairs_are_untracked_tuples_smaller_than_lists():
+    a = np.random.default_rng(3).normal(size=(384, 384 * 2)).view(complex)
+    size, pairs = _traced_size(lambda: complex_pairs(a))
+    list_size, _ = _traced_size(lambda: a.view(np.float64).reshape(a.shape + (2,)).tolist())
+    assert size < list_size
+    gc.collect()
+    # float-only tuples leave the collector on its first pass; lists would stay
+    assert not any(gc.is_tracked(pair) for row in pairs for pair in row)
 
 
 def test_complex_pairs_runs_no_collection(collections):

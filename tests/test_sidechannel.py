@@ -16,7 +16,7 @@ from vlqc.sidechannel import (
     length_distribution,
     shannon_entropy,
 )
-from vlqc.verify import grid_distributions, optimal_prefix_mean_twentieths
+from vlqc.verify import GRID_MAX_SYMBOLS, grid_distributions, optimal_prefix_mean_twentieths
 
 REFERENCE_DIST = LengthDistribution({0: 0.6, 1: 0.3, 2: 0.1})
 REFERENCE_TABLE = PrefixCodeTable({0: "1", 1: "01", 2: "00"})
@@ -65,6 +65,23 @@ def test_huffman_uniform_four_is_balanced():
     dist = LengthDistribution({i: 0.25 for i in range(4)})
     table = build_huffman(dist)
     assert sorted(len(w) for w in table.codewords.values()) == [2, 2, 2, 2]
+
+
+def test_grid_distributions_are_the_recursive_compositions():
+    """The grid against its recursive enumeration: first part ascending, then the rest."""
+    expected = []
+
+    def compose(remaining, parts, prefix):
+        if parts == 1:
+            expected.append(tuple(prefix + [remaining]))
+            return
+        for first in range(1, remaining - parts + 2):
+            compose(remaining - first, parts - 1, prefix + [first])
+
+    for symbols in range(2, GRID_MAX_SYMBOLS + 1):
+        compose(20, symbols, [])
+    assert grid_distributions() == expected
+    assert len(expected) == 5035
 
 
 def test_huffman_optimal_on_probability_grid():
