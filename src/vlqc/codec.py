@@ -9,8 +9,6 @@ shorter codewords; the empty codeword goes to the most probable message.
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,25 +59,14 @@ class SourceMessage:
 
     def _set_states(self, amps: np.ndarray) -> None:
         """Store ``amps``, its unit state and the probability as a float, by the
-        rules both constructors share."""
+        rules both constructors share; the id must be a string."""
+        if not isinstance(self.id, str):
+            raise ValueError(f"message id must be a string, got {self.id!r}")
         try:
             unit = linalg.normalize_finite(amps)
         except ValueError as exc:
             raise ValueError(f"message {self.id!r}: {exc}") from None
-        p = self.probability
-        if type(p) is not float:
-            # a bool is an int, so numbers.Real alone would take it
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                raise ValueError(f"message {self.id!r}: probability must be a real number, got {p!r}")
-            try:
-                p = float(p)
-            except OverflowError:
-                raise ValueError(f"message {self.id!r}: probability is too large for a float") from None
-        if not p > 0.0:
-            raise ValueError(f"message {self.id!r} must have positive probability")
-        if p == math.inf:
-            raise ValueError(f"message {self.id!r}: probability must be finite, got {p!r}")
-        object.__setattr__(self, "probability", p)
+        object.__setattr__(self, "probability", linalg.as_probability(f"message {self.id!r}", self.probability))
         for name, value in (("amps", amps), ("_unit", unit)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
 from collections.abc import Iterable
 
 import numpy as np
@@ -43,6 +44,25 @@ def as_int(name: str, value) -> int:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_probability(owner: str, p) -> float:
+    """``p`` as a float if it is a finite, positive real number other than a bool,
+    else ``ValueError`` naming ``owner``: the one probability rule, which
+    ``SourceMessage`` and ``LengthDistribution`` share."""
+    if type(p) is not float:
+        # a bool is an int, so numbers.Real alone would take it
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"{owner}: probability must be a real number, got {p!r}")
+        try:
+            p = float(p)
+        except OverflowError:
+            raise ValueError(f"{owner}: probability is too large for a float") from None
+    if not p > 0.0:
+        raise ValueError(f"{owner} must have positive probability")
+    if p == math.inf:
+        raise ValueError(f"{owner}: probability must be finite, got {p!r}")
+    return p
 
 
 def _norm(v: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ensemble_io
+from . import ensemble_io, linalg
 from .codec import Codebook, SourceEnsemble, SourceMessage, decode_many, encode_many
 from .ensemble_io import parse_amps, require_key
 from .message_space import RegisterSpec, VariableLengthState, support_lengths, unit_rows
@@ -56,73 +56,66 @@ class TransmissionRecord:
     fidelity: float
 
 
-def _read_only(a, dtype) -> np.ndarray:
-    """``a`` as an array of ``dtype`` that nobody can write through: kept if it
+def _read_only(a) -> np.ndarray:
+    """``a`` as a complex array that nobody can write through: kept if it
     already is read-only, else copied and frozen."""
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(a, dtype=complex)
     if a.flags.writeable:
         a = a.copy()
         a.flags.writeable = False
     return a
 
 
+def _drawn(picks: np.ndarray, m: int) -> np.ndarray:
+    """The distinct draws among ``picks``, each in 0..m-1, ascending: a session table's rows."""
+    return np.flatnonzero(np.bincount(picks, minlength=m))
+
+
 @dataclass(frozen=True, eq=False)
 class SessionTranscript:
     """A session as one table over the distinct messages drawn, plus the draw order; immutable.
 
-    Row j of the table is one distinct message drawn, in ensemble order:
-    ``message_indices[j]`` is its position in the ensemble, ``message_ids[j]``
-    its id, ``classical_bits[j]`` its length codeword, ``payloads[j]`` its
-    codeword cut to the k^L amplitudes of its base length L, ``decoded[j]``
-    the receiver's output and ``fidelities[j]`` that output's fidelity
-    against the message. The sender knows the message, so every draw of it
-    reuses its row. ``picks[i]`` is the ensemble index of the message sent at
-    step i. The session totals are derived from the table and the draw
-    counts; ``records`` expands it into one :class:`TransmissionRecord` per draw.
-    ``ensemble`` is the ensemble drawn from, whose hash is computed only when
-    asked for or when the transcript is written.
+    ``picks[i]`` is the ensemble index of the message sent at step i, in
+    ``ensemble``, whose hash is computed only when asked for or when the
+    transcript is written. Row j of the table is one distinct message drawn,
+    in ensemble order: ``classical_bits[j]`` is its length codeword,
+    ``payloads[j]`` its codeword cut to the k^L amplitudes of its base length
+    L and ``decoded[j]`` the receiver's output; every draw of the message
+    reuses its row. Derived here, once: ``message_indices[j]``, its position
+    in the ensemble; ``message_ids[j]``, its id; ``fidelities[j]``, the
+    output's fidelity against it; and the session totals. ``records``
+    expands the table into one :class:`TransmissionRecord` per draw.
     """
 
     spec: RegisterSpec
     seed: int
     ensemble: SourceEnsemble
     picks: np.ndarray
-    message_indices: np.ndarray
-    message_ids: tuple[str, ...]
     classical_bits: tuple[str, ...]
     payloads: tuple[np.ndarray, ...]
     decoded: np.ndarray
-    fidelities: np.ndarray
+    message_indices: np.ndarray = field(init=False)
+    message_ids: tuple[str, ...] = field(init=False)
+    fidelities: np.ndarray = field(init=False)
     # each row's base length, the row of each draw's message, and each row's draw count
     _lengths: tuple[int, ...] = field(init=False, repr=False)
     _slots: np.ndarray = field(init=False, repr=False)
     _counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        seed = linalg.as_int("seed", self.seed)
         picks = np.array(self.picks, dtype=np.intp)
-        indices = np.array(self.message_indices, dtype=np.intp)
-        ids, bits = tuple(self.message_ids), tuple(self.classical_bits)
-        payloads = tuple([_read_only(p, complex) for p in self.payloads])
-        decoded = _read_only(self.decoded, complex)
-        fidelities = _read_only(self.fidelities, float)
+        bits = tuple(self.classical_bits)
+        payloads = tuple([_read_only(p) for p in self.payloads])
+        decoded = _read_only(self.decoded)
+        messages = self.ensemble.messages
         if picks.ndim != 1 or picks.size == 0:
             raise ValueError("transcript has no draws")
-        drawn = indices.tolist() if indices.ndim == 1 else []
-        if not drawn or drawn[0] < 0 or any(a >= b for a, b in zip(drawn, drawn[1:])):
-            raise ValueError("table rows must be one per message, in ensemble order")
-        if decoded.ndim != 2 or fidelities.ndim != 1 or {
-            len(ids), len(bits), len(payloads), len(decoded), len(fidelities)
-        } != {len(drawn)}:
+        if picks.min() < 0 or picks.max() >= len(messages):
+            raise ValueError(f"a draw lies outside the ensemble's {len(messages)} messages")
+        indices = _drawn(picks, len(messages))
+        if decoded.ndim != 2 or {len(bits), len(payloads), len(decoded)} != {len(indices)}:
             raise ValueError("table columns must have one entry per row")
-        slots = np.searchsorted(indices, picks)
-        # a pick past the last row gets slot len(drawn), which "clip" maps onto another message
-        if (indices.take(slots, mode="clip") != picks).any():
-            raise ValueError("a draw has no table row")
-        counts = np.bincount(slots, minlength=len(drawn))
-        if not counts.all():
-            raise ValueError("a table row was never drawn")
-        if not all(isinstance(i, str) for i in ids):
-            raise ValueError("message ids must be strings")
         # the line writer prints the bits unescaped
         if any(not isinstance(b, str) or b.strip("01") for b in bits):
             raise ValueError("classical bits must be strings of 0 and 1")
@@ -134,13 +127,21 @@ class SessionTranscript:
             raise ValueError("a payload is not unit norm")
         if not np.isfinite(decoded).all():
             raise ValueError("decoded states contain NaN or Inf")
+        rows = [messages[i] for i in indices.tolist()]
+        # one vdot per row: a batched product rounds the fidelity differently
+        with np.errstate(over="ignore"):
+            fidelities = np.array([abs(np.vdot(msg.unit_amps(), row)) ** 2 for msg, row in zip(rows, decoded)])
         if not all(0.0 <= f <= 1.0 + FIDELITY_ROUNDING_TOL for f in fidelities.tolist()):
             raise ValueError("a fidelity lies outside [0, 1]")
-        picks.flags.writeable = indices.flags.writeable = slots.flags.writeable = counts.flags.writeable = False
+        slots = np.searchsorted(indices, picks)
+        counts = np.bincount(slots)
+        for a in (picks, indices, fidelities, slots, counts):
+            a.flags.writeable = False
         for name, value in zip(
-            ("picks", "message_indices", "message_ids", "classical_bits", "payloads", "decoded", "fidelities",
-             "_lengths", "_slots", "_counts"),
-            (picks, indices, ids, bits, payloads, decoded, fidelities, lengths, slots, counts),
+            ("seed", "picks", "classical_bits", "payloads", "decoded", "message_indices", "message_ids",
+             "fidelities", "_lengths", "_slots", "_counts"),
+            (seed, picks, bits, payloads, decoded, indices, tuple([msg.id for msg in rows]),
+             fidelities, lengths, slots, counts),
         ):
             object.__setattr__(self, name, value)
 
@@ -269,6 +270,7 @@ def run_session(
     produces the identical transcript. Send/receive is deterministic per
     message, so the distinct messages drawn are transmitted once, as one stack.
     """
+    n, seed = linalg.as_int("n", n), linalg.as_int("seed", seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = len(ensemble.messages)
@@ -278,22 +280,10 @@ def run_session(
     uniforms = np.random.default_rng(seed).random(n)
     picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), m - 1)
 
-    drawn = np.flatnonzero(np.bincount(picks, minlength=m))
-    messages = [ensemble.messages[i] for i in drawn.tolist()]
-    bits, payloads = alice_send_many(codebook, messages)
+    bits, payloads = alice_send_many(codebook, [ensemble.messages[i] for i in _drawn(picks, m).tolist()])
     decoded = bob_receive_many(codebook, "".join(bits), payloads)
     decoded.flags.writeable = False
-    # one vdot per row: a batched product rounds the fidelity differently
-    fidelities = np.array([abs(np.vdot(msg.unit_amps(), row)) ** 2 for msg, row in zip(messages, decoded)])
-    return SessionTranscript(
-        codebook.spec, seed, ensemble, picks,
-        message_indices=drawn,
-        message_ids=tuple(msg.id for msg in messages),
-        classical_bits=tuple(bits),
-        payloads=tuple(payloads),
-        decoded=decoded,
-        fidelities=fidelities,
-    )
+    return SessionTranscript(codebook.spec, seed, ensemble, picks, tuple(bits), tuple(payloads), decoded)
 
 
 def verify_lossless(

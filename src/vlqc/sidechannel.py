@@ -13,9 +13,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import log2
 
-import numpy as np
-
-from .linalg import PROBABILITY_SUM_TOL, as_int
+from .linalg import PROBABILITY_SUM_TOL, as_int, as_probability
 
 
 @dataclass(frozen=True)
@@ -31,11 +29,7 @@ class LengthDistribution:
                 length = as_int("length", length)
             if length < 0:
                 raise ValueError(f"length {length!r} must be a nonnegative integer")
-            if type(p) is not float and isinstance(p, (bool, np.bool_)):
-                raise ValueError(f"probability of length {length} must be a number, got {p!r}")
-            if not p > 0.0:
-                raise ValueError(f"probability of length {length} must be positive")
-            probs[length] = p
+            probs[length] = as_probability(f"length {length}", p)
         if not probs:
             raise ValueError("distribution has no symbols")
         total = float(sum(probs.values()))
@@ -133,11 +127,11 @@ def expected_code_length(table: PrefixCodeTable, dist: LengthDistribution) -> fl
 
 
 def shannon_entropy(probs: Iterable[float]) -> float:
-    """-sum p log2 p in bits, with 0 log 0 = 0."""
+    """-sum p log2 p in bits, with 0 log 0 = 0; a negative or NaN p is refused."""
     total = 0.0
     for p in probs:
-        if p < 0.0:
-            raise ValueError("probabilities must be nonnegative")
+        if not p >= 0.0:
+            raise ValueError(f"probabilities must be nonnegative numbers, got {p!r}")
         if p > 0.0:
             total -= p * log2(p)
     return total

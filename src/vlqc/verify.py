@@ -14,6 +14,7 @@ from itertools import combinations, pairwise
 import numpy as np
 
 from .codec import Codebook, DensityMatrix, SourceEnsemble, SourceMessage, build_codebook
+from .linalg import as_int
 from .metrics import BOUND_TOL, compile_report, no_go_block_code, no_go_universal, dephasing_entropy_check
 from .protocol import (
     FIDELITY_ROUNDING_TOL,
@@ -258,9 +259,13 @@ def run_all(
     next task as they become free. The results come back in task order and
     the subjects' failures are merged in subject order, so they are the same
     on any CPU count; an exception in a task re-raises here, the
-    lowest-numbered task's.
+    lowest-numbered task's. ``trials`` and ``seed`` are integers by
+    ``linalg.as_int``, and ``trials`` must be >= 0.
     """
     check_tolerance(tol)
+    trials, seed = as_int("trials", trials), as_int("seed", seed)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     master = np.random.SeedSequence(seed)
     child_seeds = [int(s.generate_state(1)[0]) for s in master.spawn(trials + 8)]
     if ensemble is not None:

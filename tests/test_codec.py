@@ -364,6 +364,13 @@ def test_a_probability_that_is_not_a_real_number_is_refused(p, build):
         build("x", np.array([1, 0], dtype=complex), p)
 
 
+@pytest.mark.parametrize("message_id", [5, None, b"x"], ids=["int", "None", "bytes"])
+@pytest.mark.parametrize("build", [SourceMessage, SourceMessage.of_finite], ids=["constructor", "of_finite"])
+def test_a_message_id_that_is_not_a_string_is_refused(message_id, build):
+    with pytest.raises(ValueError, match="message id must be a string"):
+        build(message_id, np.array([1, 0], dtype=complex), 1.0)
+
+
 @pytest.mark.parametrize("p", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
 @pytest.mark.parametrize("build", [SourceMessage, SourceMessage.of_finite], ids=["constructor", "of_finite"])
 def test_a_probability_too_large_for_a_float_is_refused(p, build):

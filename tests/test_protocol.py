@@ -17,6 +17,7 @@ from vlqc.linalg import complex_pairs, independent_rows
 from vlqc.message_space import AMP_TOL, RegisterSpec, VariableLengthState, support_lengths
 from vlqc.metrics import compile_report
 from vlqc.protocol import (
+    FIDELITY_ROUNDING_TOL,
     FIDELITY_TOL,
     SessionTranscript,
     _line_halves,
@@ -202,6 +203,10 @@ def test_verify_lossless_rejects_corruption(ensemble, codebook, table):
 
 
 TABLE_COLUMNS = ("message_indices", "message_ids", "classical_bits", "payloads", "decoded", "fidelities")
+# the columns a table is built from; the transcript derives the others from the draws,
+# the ensemble and the decoded states
+BUILT_COLUMNS = TABLE_COLUMNS[2:5]
+INIT_FIELDS = ("spec", "seed", "ensemble", "picks", *BUILT_COLUMNS)
 
 
 def _rows(transcript):
@@ -210,8 +215,8 @@ def _rows(transcript):
 
 
 def _from_rows(transcript, rows, **changes):
-    """``transcript`` with its table rebuilt from ``rows`` and any other init field in ``changes``."""
-    columns = dict(zip(TABLE_COLUMNS, map(list, zip(*rows))))
+    """``transcript`` with its built columns taken from ``rows`` and any other init field in ``changes``."""
+    columns = {name: [row[TABLE_COLUMNS.index(name)] for row in rows] for name in BUILT_COLUMNS}
     columns["decoded"] = np.array(columns["decoded"])
     return dataclasses.replace(transcript, **columns, **changes)
 
@@ -474,23 +479,19 @@ def test_repeated_messages_share_one_read_only_array(ensemble, codebook):
 
 def test_transcript_rejects_inconsistent_columns(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=50, seed=6)
-    fields = {f.name: getattr(transcript, f.name) for f in dataclasses.fields(transcript) if f.init}
+    fields = {name: getattr(transcript, name) for name in INIT_FIELDS}
     rows = _rows(transcript)
-    undrawn = [99] + rows[-1][1:]
-    with pytest.raises(ValueError, match="no table row"):
-        SessionTranscript(**{**fields, "picks": np.append(transcript.picks, 99)})
-    with pytest.raises(ValueError, match="no table row"):
-        SessionTranscript(**{**fields, "picks": np.append(transcript.picks, -1)})
-    with pytest.raises(ValueError, match="never drawn"):
-        _from_rows(transcript, rows + [undrawn])
-    with pytest.raises(ValueError, match="ensemble order"):
-        _from_rows(transcript, rows[::-1])
-    with pytest.raises(ValueError, match="ensemble order"):
+    for pick in (len(ensemble.messages), 99, -1):
+        with pytest.raises(ValueError, match="a draw lies outside the ensemble's 10 messages"):
+            SessionTranscript(**{**fields, "picks": np.append(transcript.picks, pick)})
+    with pytest.raises(ValueError, match="one entry per row"):
         _from_rows(transcript, [rows[0]] + rows)
     with pytest.raises(ValueError, match="one entry per row"):
-        SessionTranscript(**{**fields, "fidelities": transcript.fidelities[:-1]})
+        SessionTranscript(**{**fields, "picks": transcript.picks[transcript.picks != rows[-1][0]]})
     with pytest.raises(ValueError, match="one entry per row"):
-        SessionTranscript(**{**fields, "message_ids": transcript.message_ids + ("zz",)})
+        SessionTranscript(**{**fields, "classical_bits": transcript.classical_bits[:-1]})
+    with pytest.raises(ValueError, match="one entry per row"):
+        SessionTranscript(**{**fields, "decoded": transcript.decoded[0]})
 
 
 @pytest.mark.parametrize(
@@ -522,18 +523,65 @@ def test_written_file_equals_joined_lines(ensemble, codebook, tmp_path, n):
 def test_totals_are_derived_from_the_table(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=300, seed=13)
     init_fields = [f.name for f in dataclasses.fields(SessionTranscript) if f.init]
-    assert init_fields == ["spec", "seed", "ensemble", "picks", *TABLE_COLUMNS]
+    assert init_fields == list(INIT_FIELDS)
     records = transcript.records
     assert transcript.total_qubits == sum(r.base_length for r in records)
     assert transcript.total_classical_bits == len(transcript.side_channel_stream())
     assert transcript.mean_fidelity == sum(r.fidelity for r in records) / len(records)
 
 
+def _column_bits(column):
+    """A table column as comparable values: each array as its dtype, shape and raw bytes."""
+    if isinstance(column, np.ndarray):
+        return column.dtype, column.shape, column.tobytes()
+    return [_column_bits(entry) if isinstance(entry, np.ndarray) else entry for entry in column]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    subject=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    ambient=st.integers(1, 5),
+    count=st.integers(1, 8),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_table_is_rebuilt_from_its_seven_fields(subject, k, ambient, count, n, seed):
+    ens = random_ensemble(np.random.default_rng(subject), ambient, count)
+    transcript = run_session(ens, build_codebook(ens, k=k), n=n, seed=seed)
+    rebuilt = SessionTranscript(*(getattr(transcript, name) for name in INIT_FIELDS))
+    for name in TABLE_COLUMNS:
+        assert _column_bits(getattr(rebuilt, name)) == _column_bits(getattr(transcript, name)), name
+    # the derived columns, recomputed here from the draws, the ensemble and the decoded states
+    drawn = sorted(set(transcript.picks.tolist()))
+    fidelities = [abs(np.vdot(ens.messages[i].unit_amps(), row)) ** 2 for i, row in zip(drawn, transcript.decoded)]
+    assert _column_bits(transcript.message_indices) == _column_bits(np.array(drawn, dtype=np.intp))
+    assert transcript.message_ids == tuple(ens.messages[i].id for i in drawn)
+    assert _column_bits(transcript.fidelities) == _column_bits(np.array(fidelities))
+
+
+@pytest.mark.parametrize("name, value", [("n", True), ("n", 2.0), ("n", "2"), ("seed", True), ("seed", 3.0)])
+def test_run_session_refuses_an_n_or_seed_that_is_not_an_integer(ensemble, codebook, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        run_session(ensemble, codebook, **{"n": 5, "seed": 1, name: value})
+
+
+def test_numpy_integer_n_and_seed_give_the_int_session(ensemble, codebook, tmp_path):
+    transcript = run_session(ensemble, codebook, n=np.int32(40), seed=np.int64(3))
+    assert type(transcript.seed) is int and transcript.n == 40
+    assert transcript_lines(transcript) == transcript_lines(run_session(ensemble, codebook, n=40, seed=3))
+    write_transcript(transcript, tmp_path / "t.jsonl")
+    assert read_transcript(tmp_path / "t.jsonl")[0]["seed"] == 3
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dataclasses.replace(transcript, seed=3.0)
+
+
 def _forged_b_as_c(ensemble, codebook):
     """The n = 200, seed 3 session with b's table row replaced by c's, kept at b's index.
 
     b and c have the same base length, so the forged table still matches the
-    codebook's accounting; only the index/id pairing gives it away.
+    codebook's accounting; only the decoded state, which is c's and not b's,
+    gives it away.
     """
     transcript = run_session(ensemble, codebook, n=200, seed=3)
     rows = {row[1]: row for row in _rows(transcript)}
@@ -554,11 +602,17 @@ def test_outcome_carrying_another_messages_id_is_rejected(monkeypatch, ensemble,
 
 def test_outcome_index_past_the_ensemble_is_rejected(ensemble, codebook):
     transcript = run_session(ensemble, codebook, n=200, seed=3)
-    rows, beyond = _rows(transcript), len(ensemble.messages)
-    last = rows[-1][0]
-    rows[-1][0] = beyond
-    forged = _from_rows(transcript, rows, picks=np.where(transcript.picks == last, beyond, transcript.picks))
-    assert verify_lossless(forged, ensemble) is False
+    last = ensemble.messages[-1]
+    assert transcript.message_indices[-1] == len(ensemble.messages) - 1
+    rest = 1.0 - last.probability
+    shorter = SourceEnsemble(
+        tuple(m.with_probability(m.probability / rest) for m in ensemble.messages[:-1]), ensemble.ambient_dim
+    )
+    # checked against an ensemble without the last message drawn, the session fails
+    assert verify_lossless(transcript, shorter) is False
+    # and a table refuses a draw past the ensemble it was drawn from
+    with pytest.raises(ValueError, match="outside the ensemble"):
+        dataclasses.replace(transcript, ensemble=shorter)
 
 
 # Subjects for the stacked transmit path: zero-padded registers, the d = 1 and
@@ -717,16 +771,13 @@ def _with_row(transcript, row, **entries):
         (lambda t: {"payloads": t.payloads[1].reshape(1, -1)}, "k\\^L amplitudes"),
         (lambda t: {"payloads": np.array([np.nan, 1], dtype=complex)}, "not unit norm"),
         (lambda t: {"decoded": np.where(np.arange(4) == 2, np.nan, t.decoded[1])}, "NaN"),
-        (lambda t: {"fidelities": 1.0 + 2e-12}, "outside \\[0, 1\\]"),
-        (lambda t: {"fidelities": -1e-300}, "outside \\[0, 1\\]"),
-        (lambda t: {"fidelities": float("nan")}, "outside \\[0, 1\\]"),
+        # a decoded state longer than unit: its derived fidelity is about 1 + 2e-11
+        (lambda t: {"decoded": t.decoded[1] * (1 + 1e-11)}, "outside \\[0, 1\\]"),
         (lambda t: {"classical_bits": '1", "x": "'}, "0 and 1"),
-        (lambda t: {"message_ids": 7}, "strings"),
     ],
     ids=[
         "payload-not-unit", "payload-3-amps", "payload-past-r", "payload-2d", "payload-nan",
-        "decoded-nan", "fidelity-above-1", "fidelity-negative", "fidelity-nan", "bits-not-binary",
-        "id-not-str",
+        "decoded-nan", "fidelity-above-1", "bits-not-binary",
     ],
 )
 def test_transcript_rejects_forged_table_entries(ensemble, codebook, forge, match):
@@ -735,8 +786,9 @@ def test_transcript_rejects_forged_table_entries(ensemble, codebook, forge, matc
     forged = forge(transcript)
     with pytest.raises(ValueError, match=match):
         _with_row(transcript, 1, **forged)
-    # the honest row passes the same constructor, and a fidelity at the bound is kept
-    assert _with_row(transcript, 1, fidelities=1.0 + 1e-12).fidelities[1] == 1.0 + 1e-12
+    # the honest row passes the same constructor, and a fidelity within the rounding slack is kept
+    fidelity = _with_row(transcript, 1, decoded=transcript.decoded[1] * (1 + 4e-13)).fidelities[1]
+    assert 1.0 + 5e-13 < fidelity <= 1.0 + FIDELITY_ROUNDING_TOL
 
 
 def test_payload_length_that_disagrees_with_its_header_is_rejected(ensemble, codebook, table):

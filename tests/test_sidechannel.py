@@ -115,6 +115,11 @@ def test_shannon_entropy_rejects_negative():
         shannon_entropy([-0.1, 1.1])
 
 
+def test_shannon_entropy_rejects_nan():
+    with pytest.raises(ValueError, match="got nan"):
+        shannon_entropy([float("nan"), 1.0])
+
+
 def test_encode_lengths_single():
     assert encode_lengths(REFERENCE_TABLE, [0]) == "1"
 
@@ -250,6 +255,26 @@ def test_distribution_requires_positive_probabilities():
 def test_distribution_rejects_bool_and_non_integer_lengths_and_bool_probabilities(probs):
     with pytest.raises(ValueError):
         LengthDistribution(probs)
+
+
+@pytest.mark.parametrize(
+    "p, match",
+    [("0.5", "must be a real number"), (None, "must be a real number"), (float("nan"), "positive"),
+     (float("inf"), "must be finite"), (10**400, "is too large for a float")],
+    ids=["str", "None", "nan", "inf", "huge-int"],
+)
+def test_distribution_applies_the_message_probability_rule(p, match):
+    # the same rule, and the same words, as SourceMessage's
+    with pytest.raises(ValueError, match=f"length 1: probability {match}|length 1 must have {match}"):
+        LengthDistribution({1: p, 2: 0.5})
+
+
+def test_distribution_stores_each_probability_as_a_float():
+    dist = LengthDistribution({1: 1})
+    assert dist.probs == {1: 1.0} and type(dist.probs[1]) is float
+    dist = LengthDistribution({1: np.float64(0.25), 2: np.float32(0.75)})
+    assert all(type(p) is float for p in dist.probs.values())
+    assert dist.probs == {1: 0.25, 2: 0.75}
 
 
 def test_distribution_stores_numpy_integer_lengths_as_int():

@@ -236,3 +236,15 @@ def test_random_ensemble_draws_what_one_draw_per_message_drew(seed, d, m):
         assert not g.amps.flags.writeable and not g.unit_amps().flags.writeable
     # the subject's k is drawn next, from the same generator state
     assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [-1, -3])
+def test_run_all_refuses_a_negative_trial_count(trials):
+    with pytest.raises(ValueError, match=f"trials must be >= 0, got {trials}"):
+        verify.run_all(trials=trials, seed=SEED)
+
+
+@pytest.mark.parametrize("field, value", [("trials", True), ("trials", 2.0), ("seed", 1.5), ("seed", "7")])
+def test_run_all_refuses_a_count_or_seed_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        verify.run_all(**{"trials": 0, "seed": SEED, field: value})
