@@ -8,7 +8,6 @@ shorter codewords; the empty codeword goes to the most probable message.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,13 +47,6 @@ class SourceMessage:
         object.__setattr__(msg, "id", id)
         object.__setattr__(msg, "probability", probability)
         msg._set_states(amps)
-        return msg
-
-    def with_probability(self, probability: float) -> SourceMessage:
-        """This message with ``probability``, a positive rescale of its own,
-        sharing its read-only states instead of computing them again."""
-        msg = copy.copy(self)
-        object.__setattr__(msg, "probability", probability)
         return msg
 
     def _set_states(self, amps: np.ndarray) -> None:
@@ -131,11 +123,8 @@ def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _code_products(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """<omega_i|x> for i = 1..code_dim and each row x of ``rows``: the sender's
-    products over the rows of conj(basis), one matvec per row.
-
-    Each is the same ambient_dim-term dot that row i-1 of the k^r-wide encoder
-    gives, so these are the first code_dim components of its codewords, bit
-    for bit; the rest of a codeword is exactly zero.
+    products over the rows of conj(basis), one matvec per row: the first
+    code_dim components of a codeword, whose rest is exactly zero.
     """
     return _per_row(np.conj(basis), rows)
 
@@ -162,12 +151,11 @@ class Codebook:
     derived from ``lengths`` here; every base length must be in ``lengths``,
     so that it has a codeword.
 
-    ``encoder`` and ``decoder`` are derived from ``basis`` on first use and
-    kept, read-only. ``encoder`` is the (k^r, ambient_dim) matrix whose row
-    i-1 is <omega_i| and whose rows past code_dim are zero. ``decoder``, its
-    conjugate transpose and the inverse on the code space, is the one matrix
-    that stays k^r wide in use: the receiver's product is a k^r-long dot over
-    the padded codeword, and a dot over code_dim terms would round some
+    ``decoder`` is derived from ``basis`` on first use and kept, read-only:
+    the (ambient_dim, k^r) matrix whose column i-1 is |omega_i> and whose
+    columns past code_dim are zero, the inverse of the encoder on the code
+    space. It stays k^r wide because the receiver's product is a k^r-long dot
+    over the padded codeword, and a dot over code_dim terms would round some
     decoded rows differently, which stored transcripts pin.
     """
 
@@ -193,17 +181,9 @@ class Codebook:
         object.__setattr__(self, "table", build_huffman(self.lengths))
 
     @cached_property
-    def encoder(self) -> np.ndarray:
-        encoder = np.zeros((self.spec.dim, self.ambient_dim), dtype=complex)
-        encoder[: self.code_dim] = np.conj(self.basis)
-        encoder.flags.writeable = False
-        return encoder
-
-    @cached_property
     def decoder(self) -> np.ndarray:
-        # C-ordered, as encoder.conj().T.copy() would be, built in one allocation: the
-        # layout fixes how decoder products round, and stored transcripts pin that;
-        # conj gives the encoder's zero rows an imaginary part of -0.0
+        # C-ordered, built in one allocation: the layout fixes how decoder products
+        # round, and stored transcripts pin that; the padding is conj(0) = 0 - 0j
         decoder = np.empty((self.ambient_dim, self.spec.dim), dtype=complex)
         decoder[:, : self.code_dim] = self.basis.T
         decoder[:, self.code_dim :] = complex(0.0, -0.0)

@@ -172,7 +172,8 @@ def _parse(text: str) -> EnsembleFile:
     if abs(total - 1.0) > PROBABILITY_FILE_TOL:
         raise EnsembleFormatError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
     if abs(total - 1.0) > linalg.PROBABILITY_SUM_TOL:
-        messages = [m.with_probability(m.probability / total) for m in messages]
+        with np.errstate(over="ignore"):
+            messages = [SourceMessage.of_finite(m.id, m.amps, m.probability / total) for m in messages]
     try:
         return EnsembleFile(SourceEnsemble(tuple(messages), ambient_dim), k=k, normalize=normalize)
     except ValueError as exc:

@@ -76,8 +76,8 @@ class SessionTranscript:
     """A session as one table over the distinct messages drawn, plus the draw order; immutable.
 
     ``picks[i]`` is the ensemble index of the message sent at step i, in
-    ``ensemble``, whose hash is computed only when asked for or when the
-    transcript is written. Row j of the table is one distinct message drawn,
+    ``ensemble``, whose hash is computed only when the transcript is
+    written. Row j of the table is one distinct message drawn,
     in ensemble order: ``classical_bits[j]`` is its length codeword,
     ``payloads[j]`` its codeword cut to the k^L amplitudes of its base length
     L and ``decoded[j]`` the receiver's output; every draw of the message
@@ -159,12 +159,6 @@ class SessionTranscript:
     def total_classical_bits(self) -> int:
         """Side-channel bits sent over the whole session."""
         return int(self._counts @ [len(b) for b in self.classical_bits])
-
-    @cached_property
-    def ensemble_hash(self) -> str:
-        """The ensemble's ``ensemble_io.ensemble_hash``, computed once: on first
-        access, or by ``_line_chunks`` beside the line text."""
-        return ensemble_io.ensemble_hash(self.ensemble)
 
     @cached_property
     def mean_fidelity(self) -> float:
@@ -343,9 +337,9 @@ def _line_chunks(transcript: SessionTranscript):
     ``index`` varies between draws of one message, and it sorts between
     ``fidelity`` and ``messageId``, so every line is one message's fixed
     prefix and suffix around the index. The first chunk comes once every
-    float of the text is formatted: the line halves, and the ensemble hash
-    unless it is cached, which ``ensemble_hash_beside`` computes in forked
-    workers while this process formats the halves.
+    float of the text is formatted: the line halves, and the ensemble hash,
+    which ``ensemble_hash_beside`` computes in forked workers while this
+    process formats the halves.
     """
     payloads = transcript.payloads
 
@@ -358,20 +352,14 @@ def _line_chunks(transcript: SessionTranscript):
             payloads,
         )
 
-    cache = vars(transcript)  # where cached_property keeps ensemble_hash
-    if "ensemble_hash" in cache:
-        prefixes, suffixes = halves()
-    else:
-        floats = 2 * sum([p.size for p in payloads])
-        cache["ensemble_hash"], (prefixes, suffixes) = ensemble_io.ensemble_hash_beside(
-            transcript.ensemble, halves, floats
-        )
+    floats = 2 * sum([p.size for p in payloads])
+    digest, (prefixes, suffixes) = ensemble_io.ensemble_hash_beside(transcript.ensemble, halves, floats)
     header = {
         "k": transcript.spec.k,
         "r": transcript.spec.r,
         "seed": transcript.seed,
         "n": transcript.n,
-        "ensembleHash": transcript.ensemble_hash,
+        "ensembleHash": digest,
     }
     yield [json.dumps(header, sort_keys=True)]
     slots = transcript._slots

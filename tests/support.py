@@ -1,5 +1,6 @@
 """Helpers that several test modules share: CPU-count and fork stand-ins, a
-check that no child process is left, and the ensemble hash's oracle."""
+check that no child process is left, the ensemble hash's oracle and the
+k^r-wide encoder."""
 
 import json
 import multiprocessing
@@ -44,3 +45,10 @@ def document_bytes(ensemble) -> bytes:
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def register_encoder(codebook) -> np.ndarray:
+    """The (k^r, ambient_dim) encoder: row i-1 is <omega_i|, and rows past code_dim are zero."""
+    encoder = np.zeros((codebook.spec.dim, codebook.ambient_dim), dtype=complex)
+    encoder[: codebook.code_dim] = np.conj(codebook.basis)
+    return encoder

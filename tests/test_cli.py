@@ -6,6 +6,7 @@ import pytest
 
 import numpy as np
 
+from support import register_encoder
 from vlqc.cli import main, report_document
 from vlqc.codec import build_codebook
 from vlqc.ensemble_io import dump_ensemble, load_ensemble
@@ -171,7 +172,7 @@ def test_written_report_rebuilds_encoder_and_decoder_bit_exactly(tmp_path, capsy
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert set(doc["codebook"]) == CODEBOOK_KEYS
     encoder, decoder = _rebuild_encoder_decoder(doc["codebook"])
-    _assert_bit_exact(encoder, codebook.encoder)
+    _assert_bit_exact(encoder, register_encoder(codebook))
     _assert_bit_exact(decoder, codebook.decoder)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from support import register_encoder
 from vlqc import protocol
 from vlqc.cli import report_document
 from vlqc.codec import (
@@ -94,17 +95,18 @@ def test_codebook_lengths_are_numeral_lengths(codebook):
 
 
 def test_encoder_matches_reference_matrix(codebook):
-    np.testing.assert_allclose(codebook.encoder.real, EXPECTED_BASIS, atol=1e-5)
-    np.testing.assert_allclose(codebook.encoder.imag, 0, atol=1e-12)
+    encoder = register_encoder(codebook)
+    np.testing.assert_allclose(encoder.real, EXPECTED_BASIS, atol=1e-5)
+    np.testing.assert_allclose(encoder.imag, 0, atol=1e-12)
 
 
 def test_decoder_is_conjugate_transpose(codebook):
-    np.testing.assert_allclose(codebook.decoder, codebook.encoder.conj().T)
+    np.testing.assert_allclose(codebook.decoder, register_encoder(codebook).conj().T)
     np.testing.assert_allclose(codebook.decoder.real, EXPECTED_BASIS.T, atol=1e-5)
 
 
 def test_decoder_inverts_encoder_on_span(codebook):
-    np.testing.assert_allclose(codebook.decoder @ codebook.encoder, np.eye(4), atol=1e-9)
+    np.testing.assert_allclose(codebook.decoder @ register_encoder(codebook), np.eye(4), atol=1e-9)
 
 
 def test_base_length_table(codebook):
@@ -234,8 +236,9 @@ def test_round_trip_preserves_phase_factor(codebook):
 def test_isometry_on_random_span_vectors(codebook):
     rng = np.random.default_rng(13)
     pairs = random_units_in_span(rng, codebook.basis, 2000)
+    encoder = register_encoder(codebook)
     for x, y in zip(pairs[0::2], pairs[1::2]):
-        lhs = np.vdot(codebook.encoder @ x, codebook.encoder @ y)
+        lhs = np.vdot(encoder @ x, encoder @ y)
         assert abs(lhs - np.vdot(x, y)) <= 1e-9
 
 
@@ -352,7 +355,8 @@ def test_a_real_probability_is_stored_as_a_float(tmp_path, probs):
         assert type(m.probability) is float and m.probability == p
     # the hash, a session and the file writer all take the stored float
     assert ensemble_hash(ensemble) == ensemble_hash(floats)
-    assert run_session(ensemble, build_codebook(ensemble), n=5, seed=1).ensemble_hash == ensemble_hash(floats)
+    header = transcript_lines(run_session(ensemble, build_codebook(ensemble), n=5, seed=1))[0]
+    assert json.loads(header)["ensembleHash"] == ensemble_hash(floats)
     dump_ensemble(ensemble, 2, tmp_path / "e.json")
     assert ensemble_hash(load_ensemble(tmp_path / "e.json").ensemble) == ensemble_hash(floats)
 
@@ -434,18 +438,16 @@ def test_codebook_refuses_a_base_length_missing_from_its_lengths(codebook, missi
 def test_codebook_stores_only_its_basis(codebook):
     init_fields = [f.name for f in dataclasses.fields(Codebook) if f.init]
     assert init_fields == ["spec", "basis", "base_lengths", "lengths"]
-    for matrix in (codebook.basis, codebook.encoder, codebook.decoder):
+    for matrix in (codebook.basis, codebook.decoder):
         assert not matrix.flags.writeable
-    # the matrices are derived on first use and kept; they cannot be set or deleted
-    assert codebook.encoder is codebook.encoder and codebook.decoder is codebook.decoder
-    for name in ("encoder", "decoder"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(codebook, name, np.zeros(1))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(codebook, name)
+    # the decoder is derived on first use and kept; it cannot be set or deleted
+    assert codebook.decoder is codebook.decoder
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        codebook.decoder = np.zeros(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del codebook.decoder
     flipped = dataclasses.replace(codebook, basis=-codebook.basis)
-    assert "encoder" not in vars(flipped) and "decoder" not in vars(flipped)
-    np.testing.assert_array_equal(flipped.encoder, -codebook.encoder)
+    assert "decoder" not in vars(flipped)
     np.testing.assert_array_equal(flipped.decoder, -codebook.decoder)
     assert flipped.code_lengths == codebook.code_lengths
     # the side-channel table is derived from the lengths, as the matrices are from the basis
@@ -455,16 +457,9 @@ def test_codebook_stores_only_its_basis(codebook):
     assert skewed.table.codewords[2] == "1"
 
 
-def _reference_encoder(basis, dim):
-    """The k^r-wide encoder: conj(basis) over dim - code_dim zero rows."""
-    encoder = np.zeros((dim, basis.shape[1]), dtype=complex)
-    encoder[: len(basis)] = np.conj(basis)
-    return encoder
-
-
-def _reference_codewords(basis, dim, rows):
+def _reference_codewords(codebook, rows):
     """Each row's codeword as one k^r-wide matvec per row."""
-    return np.matmul(_reference_encoder(basis, dim), rows[:, :, None])[:, :, 0]
+    return np.matmul(register_encoder(codebook), rows[:, :, None])[:, :, 0]
 
 
 @given(
@@ -482,13 +477,11 @@ def test_code_width_products_equal_the_register_width_encoder_bit_for_bit(seed, 
     ens = random_ensemble(np.random.default_rng(seed), ambient, max(1, ambient + extra))
     cb = build_codebook(ens, k=k)
     units = np.array([m.unit_amps() for m in ens.messages])
-    reference = _reference_codewords(cb.basis, k**cb.spec.r, units)
+    reference = _reference_codewords(cb, units)
     assert encode_many(cb, units).tobytes() == reference.tobytes()
     assert [cb.base_lengths[m.id] for m in ens.messages] == support_lengths(reference, k).tolist()
-    encoder = _reference_encoder(cb.basis, k**cb.spec.r)
-    assert cb.encoder.tobytes() == encoder.tobytes()
     # the conjugate gives the zero block's imaginary parts the sign -0.0, and the copy is C-ordered
-    assert cb.decoder.tobytes() == encoder.conj().T.copy().tobytes()
+    assert cb.decoder.tobytes() == register_encoder(cb).conj().T.copy().tobytes()
     assert cb.decoder.flags.c_contiguous
 
 
@@ -500,7 +493,7 @@ def test_a_session_across_the_register_jump_writes_the_register_width_transcript
     monkeypatch.setattr(
         protocol,
         "encode_many",
-        lambda codebook, x: _reference_codewords(codebook.basis, codebook.spec.dim, np.asarray(x, dtype=complex)),
+        lambda codebook, x: _reference_codewords(codebook, np.asarray(x, dtype=complex)),
     )
     assert transcript_lines(run_session(ens, cb, n=200, seed=5)) == lines
 
@@ -517,7 +510,7 @@ def test_no_register_width_matrix_is_built_before_a_decode():
     # one k^r x d complex matrix is 767232 bytes here
     assert peak < cb.spec.dim * cb.ambient_dim * np.dtype(complex).itemsize
     report_document(ens, cb, compile_report(ens, cb))
-    assert "encoder" not in vars(cb) and "decoder" not in vars(cb)
+    assert "decoder" not in vars(cb)
 
 
 @pytest.mark.parametrize(
@@ -613,7 +606,7 @@ def test_matrix_core_matches_per_vector_loops():
         np.testing.assert_allclose(np.array(cb.basis), basis, atol=1e-12)
         d = cb.code_dim
         for msg in ens.messages:
-            overlaps = cb.encoder[:d] @ msg.unit_amps()
+            overlaps = np.conj(cb.basis) @ msg.unit_amps()
             supported = [cb.code_lengths[i] for i in range(d) if abs(overlaps[i]) > 1e-12]
             assert cb.base_lengths[msg.id] == (max(supported) if supported else 0)
         sigma = sum(m.probability * np.outer(m.unit_amps(), m.unit_amps().conj()) for m in ens.messages)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import LINUX, assert_no_child_left, document_bytes, set_cpus
+from support import LINUX, assert_no_child_left, document_bytes, register_encoder, set_cpus
 from vlqc import ensemble_io, verify, workers
 from vlqc.ensemble_io import EnsembleFormatError
 from vlqc.linalg import complex_pairs, independent_rows
@@ -262,7 +262,7 @@ def test_transcript_file_round_trip(tmp_path, ensemble, codebook, table):
         "r": 2,
         "seed": 8,
         "n": 25,
-        "ensembleHash": transcript.ensemble_hash,
+        "ensembleHash": ensemble_io.ensemble_hash(ensemble),
     }
     assert len(records) == 25
     for record, original in zip(records, transcript.records):
@@ -606,7 +606,7 @@ def test_outcome_index_past_the_ensemble_is_rejected(ensemble, codebook):
     assert transcript.message_indices[-1] == len(ensemble.messages) - 1
     rest = 1.0 - last.probability
     shorter = SourceEnsemble(
-        tuple(m.with_probability(m.probability / rest) for m in ensemble.messages[:-1]), ensemble.ambient_dim
+        tuple(SourceMessage(m.id, m.amps, m.probability / rest) for m in ensemble.messages[:-1]), ensemble.ambient_dim
     )
     # checked against an ensemble without the last message drawn, the session fails
     assert verify_lossless(transcript, shorter) is False
@@ -657,7 +657,8 @@ def test_stacked_session_equals_per_message_loop(name):
     # the stacked products are the plain matvecs a one-message encoder applies
     units = np.array([m.unit_amps() for m in ens.messages])
     codewords = encode_many(cb, units)
-    assert codewords.tobytes() == np.array([cb.encoder @ x for x in units]).tobytes()
+    encoder = register_encoder(cb)
+    assert codewords.tobytes() == np.array([encoder @ x for x in units]).tobytes()
     assert decode_many(cb, codewords).tobytes() == np.array([cb.decoder @ c for c in codewords]).tobytes()
 
 
@@ -912,14 +913,14 @@ def test_only_writing_a_transcript_computes_the_hash(monkeypatch, tmp_path, ense
     transcript.records
     transcript.side_channel_stream()
     assert calls == []
+    # each write formats the hash once; the reference ensemble is below the
+    # fork bound, so that is one pass over all its messages
+    whole = (0, len(ensemble.messages))
     lines = transcript_lines(transcript)
+    assert calls == [whole]
     write_transcript(transcript, tmp_path / "t.jsonl")
-    # the reference ensemble is below the fork bound: one pass over all its messages
-    assert calls == [(0, len(ensemble.messages))]
-    assert json.loads(lines[0])["ensembleHash"] == transcript.ensemble_hash == hashlib.sha256(
-        document_bytes(ensemble)
-    ).hexdigest()
-    assert calls == [(0, len(ensemble.messages))]
+    assert calls == [whole, whole]
+    assert json.loads(lines[0])["ensembleHash"] == hashlib.sha256(document_bytes(ensemble)).hexdigest()
 
 
 @pytest.mark.skipif(not LINUX, reason="forking is Linux-only")
