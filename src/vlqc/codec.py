@@ -76,6 +76,9 @@ class SourceEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
+        object.__setattr__(self, "ambient_dim", linalg.as_int("ambient_dim", self.ambient_dim))
+        if self.ambient_dim < 1:
+            raise ValueError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if not self.messages:
             raise ValueError("ensemble has no messages")
         seen: set[str] = set()

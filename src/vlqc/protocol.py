@@ -104,13 +104,17 @@ class SessionTranscript:
 
     def __post_init__(self):
         seed = linalg.as_int("seed", self.seed)
-        picks = np.array(self.picks, dtype=np.intp)
+        picks = np.array(self.picks)
         bits = tuple(self.classical_bits)
         payloads = tuple([_read_only(p) for p in self.payloads])
         decoded = _read_only(self.decoded)
         messages = self.ensemble.messages
         if picks.ndim != 1 or picks.size == 0:
             raise ValueError("transcript has no draws")
+        # a float or bool pick would be truncated to an index, not refused
+        if picks.dtype.kind not in "iu":
+            raise ValueError(f"picks must have an integer dtype, got {picks.dtype}")
+        picks = picks.astype(np.intp, copy=False)
         if picks.min() < 0 or picks.max() >= len(messages):
             raise ValueError(f"a draw lies outside the ensemble's {len(messages)} messages")
         indices = _drawn(picks, len(messages))
@@ -404,7 +408,7 @@ def read_transcript(path) -> tuple[dict, list[dict]]:
     if not isinstance(header, dict):
         raise ValueError("transcript header: expected an object")
     records = [_json_line(line, number) for number, line in enumerate(lines[1:], 2) if line.strip()]
-    if header.get("n") != len(records):
+    if require_key(header, "n", int, "transcript header") != len(records):
         raise ValueError("header count does not match the number of records")
     return header, records
 

@@ -152,6 +152,7 @@ def decode_lengths(table: PrefixCodeTable, bits: str, count: int) -> list[int]:
     matches (any character other than 0/1 is one) and bits left over after
     the last codeword are all errors.
     """
+    count = as_int("count", count)
     if count < 0:
         raise ValueError("count must be >= 0")
     decode_map, longest, end = table.decode_map, table.max_word_length, len(bits)

@@ -301,6 +301,28 @@ def test_probabilities_must_sum_to_one():
         )
 
 
+@pytest.mark.parametrize(
+    "d, ambient_dim, message",
+    [
+        (4, 4.0, "ambient_dim must be an integer, got 4.0"),
+        (1, True, "ambient_dim must be an integer, got True"),
+        (1, 0, "ambient_dim must be >= 1, got 0"),
+    ],
+    ids=["float", "bool", "zero"],
+)
+def test_an_ambient_dim_that_is_not_a_positive_integer_is_refused(d, ambient_dim, message):
+    msg = SourceMessage("x", np.ones(d, dtype=complex), 1.0)
+    with pytest.raises(ValueError, match=message):
+        SourceEnsemble((msg,), ambient_dim)
+
+
+def test_a_numpy_integer_ambient_dim_is_stored_as_an_int():
+    msg = SourceMessage("x", np.ones(4, dtype=complex), 1.0)
+    ens = SourceEnsemble((msg,), np.int64(4))
+    assert type(ens.ambient_dim) is int
+    assert ensemble_hash(ens) == ensemble_hash(SourceEnsemble((msg,), 4))
+
+
 UNNORMALIZED_DOC = {
     "k": 2,
     "ambientDim": 2,

@@ -346,6 +346,22 @@ def test_read_transcript_names_the_line_of_invalid_json(tmp_path, text, message)
     assert not isinstance(info.value, json.JSONDecodeError)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ('{"n": true}', "transcript header.n: expected an integer"),
+        ('{"n": 1.0}', "transcript header.n: expected an integer"),
+        ("{}", "transcript header: missing key 'n'"),
+    ],
+    ids=["bool", "float", "missing"],
+)
+def test_read_transcript_takes_the_header_count_only_as_an_integer(tmp_path, header, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(header + '\n{"index": 0}\n')
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_transcript(path)
+
+
 def _without(key):
     return lambda r: {k: v for k, v in r.items() if k != key}
 
@@ -475,6 +491,17 @@ def test_repeated_messages_share_one_read_only_array(ensemble, codebook):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 0
+
+
+def test_transcript_takes_picks_only_with_an_integer_dtype(ensemble, codebook):
+    transcript = run_session(ensemble, codebook, n=50, seed=1)
+    picks = transcript.picks
+    for refused in (picks + 0.6, picks.astype(float), [float(i) for i in picks], picks.astype(bool)):
+        with pytest.raises(ValueError, match="picks must have an integer dtype"):
+            dataclasses.replace(transcript, picks=refused)
+    lines = transcript_lines(transcript)
+    for kept in (picks.tolist(), picks.astype(np.uint8), picks.astype(np.int16)):
+        assert transcript_lines(dataclasses.replace(transcript, picks=kept)) == lines
 
 
 def test_transcript_rejects_inconsistent_columns(ensemble, codebook):

@@ -155,6 +155,13 @@ def test_decode_lengths_exhausted_mid_codeword():
         decode_lengths(REFERENCE_TABLE, "0", 1)
 
 
+@pytest.mark.parametrize("count", [True, 1.0, 2.0, "1"], ids=["bool", "1.0", "2.0", "str"])
+def test_decode_lengths_takes_count_only_as_an_integer(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        decode_lengths(REFERENCE_TABLE, "1", count)
+    assert decode_lengths(REFERENCE_TABLE, "10100", np.int64(3)) == [0, 1, 2]
+
+
 def test_decode_unmatchable_prefix():
     table = PrefixCodeTable({0: "00", 1: "01"})
     with pytest.raises(ValueError, match="no codeword"):
